@@ -1,10 +1,12 @@
 #include "app/experiment.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <initializer_list>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include "analysis/invariant_checker.h"
 #include "can/can_space.h"
@@ -326,6 +328,16 @@ SpecResult ExperimentSpec::from_config(const Config& config) {
   spec.bimodal.fast_fraction = p.get_double("fast_fraction", 0.2);
   spec.bimodal.fast_delay_ms = p.get_double("fast_delay_ms", 10.0);
   spec.bimodal.slow_delay_ms = p.get_double("slow_delay_ms", 100.0);
+  // Processing delays are edge costs of the shortest-latency floods,
+  // whose bucket queue needs them finite and non-negative.
+  for (const auto& [key, delay] :
+       {std::pair{"fast_delay_ms", &spec.bimodal.fast_delay_ms},
+        std::pair{"slow_delay_ms", &spec.bimodal.slow_delay_ms}}) {
+    if (!(*delay >= 0.0 && std::isfinite(*delay))) {
+      p.error(key, "must be a finite number >= 0");
+      *delay = 0.0;
+    }
+  }
   spec.fraction_fast_dest = p.get_double("fraction_fast_dest", -1.0);
   if (spec.fraction_fast_dest >= 0.0) {
     if (spec.heterogeneity == Heterogeneity::kNone) {
@@ -1201,9 +1213,9 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
       };
       switch (spec.overlay) {
         case ExperimentSpec::Overlay::kGnutella:
-          return net->flood_latencies_into(
-              *flood_scratch, q.src, proc_ptr,
-              flood_filter ? &flood_filter : nullptr)[q.dst];
+          return net->flood_latency_to(
+              *flood_scratch, q.src, q.dst, proc_ptr,
+              flood_filter ? &flood_filter : nullptr);
         case ExperimentSpec::Overlay::kChord:
           return routed(chord->lookup_path(q.src, chord->id_of(q.dst)));
         case ExperimentSpec::Overlay::kPastry:

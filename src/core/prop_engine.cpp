@@ -389,6 +389,16 @@ void PropEngine::begin_negotiation(SlotId u, SlotId first_hop, SlotId v,
     sim_.cancel(st.pending);
     st.pending = kInvalidEvent;
   }
+  // A retransmitted PREPARE runs one RTO after the walk: a walk slot or
+  // the counterpart may have crashed meanwhile, and a vacated slot has
+  // no host to price the path with.
+  const auto active = [&](SlotId s) { return net_.graph().is_active(s); };
+  if (!active(v) || !std::all_of(path.begin(), path.end(), active)) {
+    abort_with_reason(u, v, obs::AbortReason::kPeerCrashed);
+    handle_failure(u, first_hop);
+    schedule_probe(u, st.timer);
+    return;
+  }
   const double base_delay = negotiation_delay_s(path);
   if (faults_ == nullptr && adversary_ == nullptr) {
     // Plain delayed-commit mode: single scheduled commit, no locks —

@@ -1,31 +1,130 @@
 #include "measure/measure_engine.h"
 
 #include <algorithm>
-#include <bit>
+#include <cmath>
 #include <future>
 #include <limits>
 #include <numeric>
 #include <thread>
+#include <type_traits>
 
 namespace propsim {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Bucket width for the fast kernel, as a shift of fx distances. Width
-/// 2^shift <= the snapshot's minimum edge weight guarantees the Dial
-/// invariant — no relaxation lands back in the bucket being drained —
-/// which is what lets the kernel settle each node on first pop. The
-/// clamp bounds the bucket count for degenerate snapshots (sub-64us
-/// edges); below the invariant the kernel drops the settled shortcut
-/// and drains each bucket to a fixpoint instead, which is slower but
-/// still exact over the quantized weights.
-constexpr int kMinBucketShift = 16;  // 2^16 fx = 62.5 us buckets
-constexpr int kMaxBucketShift = 26;  // 2^26 fx = 64 ms buckets
+// Bucket width bounds, as power-of-two exponents of a millisecond. The
+// floor keeps the bucket count sane when edges are tiny or zero (those
+// snapshots take the fixpoint drain); the ceiling only keeps the width
+// finite for edgeless snapshots.
+constexpr int kMinWidthExpMs = -4;  // 62.5 us
+constexpr int kMaxWidthExpMs = 40;
+// Buckets held at once past the current base; later entries wait in the
+// overflow list (at 1 ms buckets the window spans 65 s of latency).
+constexpr std::uint64_t kMaxBuckets = std::uint64_t{1} << 16;
+// Caps the scaled distance below 2^63 so the integer conversion is
+// defined; capping is monotone, so it cannot reorder buckets.
+constexpr double kMaxScaled = 0x1p62;
 
-int bucket_shift_for(std::uint32_t min_edge_fx) {
-  const int width = min_edge_fx == 0 ? 1 : std::bit_width(min_edge_fx);
-  return std::clamp(width - 1, kMinBucketShift, kMaxBucketShift);
+/// One Dial flood over the snapshot's `Cost` edge weights (double ms or
+/// uint32 fx), distances in units of `unit_ms`; the argument for its
+/// exactness is in measure_engine.h.
+template <typename Cost>
+void dial_flood(const OverlaySnapshot& snap, SlotId source,
+                const std::vector<Cost>* proc, double min_edge,
+                double unit_ms, MeasureScratch& scratch) {
+  PROPSIM_CHECK(snap.is_active(source));
+  if (proc != nullptr) PROPSIM_CHECK(proc->size() == snap.slot_count());
+  scratch.begin(snap.slot_count(), unit_ms);
+  const std::uint32_t epoch = scratch.epoch;
+  auto& dist = scratch.dist;
+  auto& stamp = scratch.stamp;
+  auto& buckets = scratch.buckets;  // all empty: previous run drained them
+  auto& overflow = scratch.overflow;
+
+  // Width 2^k <= min_edge (see the header), clamped in ms then expressed
+  // in distance units. ilogb maps 0 below and +inf above the clamp.
+  const int unit_exp = std::ilogb(unit_ms);
+  const int k = std::clamp(std::ilogb(min_edge), kMinWidthExpMs - unit_exp,
+                           kMaxWidthExpMs - unit_exp);
+  const double inv_width = std::ldexp(1.0, -k);
+  auto index_of = [&](double d) {
+    return static_cast<std::uint64_t>(std::min(d * inv_width, kMaxScaled));
+  };
+  std::uint64_t base = 0;  // bucket index held by buckets[0]
+  std::size_t top = 0;     // highest bucket filled since the last rebase
+  // Files (v, d) into the bucket window; false when it lies past it.
+  auto file = [&](SlotId v, double d) {
+    const std::uint64_t rel = index_of(d) - base;
+    if (rel >= kMaxBuckets) return false;
+    const auto b = static_cast<std::size_t>(rel);
+    if (b >= buckets.size()) buckets.resize(b + 1);
+    buckets[b].push_back({v, d});
+    top = std::max(top, b);
+    return true;
+  };
+  auto push = [&](SlotId v, double d) {
+    if (!file(v, d)) overflow.push_back({v, d});
+  };
+
+  dist[source] = 0.0;
+  stamp[source] = epoch;
+  push(source, 0.0);
+  for (std::size_t b = 0;; ++b) {
+    if (b > top) {
+      // Window drained: move it to the nearest current overflow entry,
+      // dropping stale ones, or stop when none is left.
+      std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
+      for (const auto& e : overflow) {
+        if (e.dist == dist[e.slot]) next = std::min(next, index_of(e.dist));
+      }
+      if (next == std::numeric_limits<std::uint64_t>::max()) {
+        overflow.clear();
+        break;
+      }
+      base = next;
+      top = 0;
+      b = 0;
+      std::size_t kept = 0;
+      for (const auto& e : overflow) {
+        if (e.dist == dist[e.slot] && !file(e.slot, e.dist)) {
+          overflow[kept++] = e;
+        }
+      }
+      overflow.resize(kept);
+    }
+    // Index loop, re-reading buckets[b] each access: relaxations may
+    // append to this bucket mid-drain, and push() can reallocate the
+    // outer bucket array, so no reference survives an expansion.
+    for (std::size_t i = 0; i < buckets[b].size(); ++i) {
+      const auto [u, du] = buckets[b][i];
+      if (du != dist[u]) continue;  // stale: improved since queued
+      const auto targets = snap.targets(u);
+      const auto costs = [&] {
+        if constexpr (std::is_same_v<Cost, double>) {
+          return snap.latencies(u);
+        } else {
+          return snap.latencies_fx(u);
+        }
+      }();
+      for (std::size_t e = 0; e < targets.size(); ++e) {
+        const SlotId v = targets[e];
+        // Same arithmetic, same order as the live flood: costs[e] is the
+        // identical slot_latency(u, v) double, precomputed at capture
+        // (or its fixed-point weight, exact as a double).
+        double cost = static_cast<double>(costs[e]);
+        if (proc != nullptr) cost += static_cast<double>((*proc)[v]);
+        const double candidate = du + cost;
+        if (!(candidate < kInf)) continue;  // unreachable stays +inf
+        if (stamp[v] != epoch || candidate < dist[v]) {
+          dist[v] = candidate;
+          stamp[v] = epoch;
+          push(v, candidate);
+        }
+      }
+    }
+    buckets[b].clear();
+  }
 }
 }  // namespace
 
@@ -37,152 +136,40 @@ const char* to_string(MeasureMode mode) {
   return "?";
 }
 
-void MeasureScratch::begin(std::size_t n) {
+void MeasureScratch::begin(std::size_t n, double unit) {
   if (stamp.size() != n) {
     dist.assign(n, 0.0);
     stamp.assign(n, 0);
     epoch = 0;
-    queue = IndexedPriorityQueue<double>(n);
+    // Bucket capacity is shaped by path lengths, not slot count; keep it.
   }
   if (++epoch == 0) {  // wrapped: every stale stamp would look current
     std::fill(stamp.begin(), stamp.end(), 0u);
     epoch = 1;
   }
+  unit_ms = unit;
 }
 
 double MeasureScratch::distance(SlotId v) const {
   PROPSIM_DCHECK(v < stamp.size());
-  return stamp[v] == epoch ? dist[v] : kInf;
-}
-
-void FastMeasureScratch::begin(std::size_t n) {
-  if (stamp.size() != n) {
-    dist_fx.assign(n, 0);
-    stamp.assign(n, 0);
-    done.assign(n, 0);
-    epoch = 0;
-    // Bucket capacity is shaped by path lengths, not slot count; keep it.
-  }
-  if (++epoch == 0) {
-    std::fill(stamp.begin(), stamp.end(), 0u);
-    std::fill(done.begin(), done.end(), 0u);
-    epoch = 1;
-  }
-}
-
-double FastMeasureScratch::distance(SlotId v) const {
-  PROPSIM_DCHECK(v < stamp.size());
-  if (stamp[v] != epoch) return kInf;
-  // dist_fx < 2^53 by a huge margin, so the scale-down is exact.
-  return static_cast<double>(dist_fx[v]) / OverlaySnapshot::kFxPerMs;
+  return stamp[v] == epoch ? dist[v] * unit_ms : kInf;
 }
 
 void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
                     const std::vector<double>* processing_delay_ms,
                     MeasureScratch& scratch) {
-  PROPSIM_CHECK(snap.is_active(source));
-  if (processing_delay_ms != nullptr) {
-    PROPSIM_CHECK(processing_delay_ms->size() == snap.slot_count());
-  }
-  scratch.begin(snap.slot_count());
-  const std::uint32_t epoch = scratch.epoch;
-  auto& dist = scratch.dist;
-  auto& stamp = scratch.stamp;
-  auto& queue = scratch.queue;  // empty: the previous run popped it dry
-  dist[source] = 0.0;
-  stamp[source] = epoch;
-  queue.push_or_update(source, 0.0);
-  while (!queue.empty()) {
-    const auto u = static_cast<SlotId>(queue.pop());
-    const auto targets = snap.targets(u);
-    const auto lats = snap.latencies(u);
-    for (std::size_t e = 0; e < targets.size(); ++e) {
-      const SlotId v = targets[e];
-      // Same arithmetic, same order, same values as the live flood:
-      // lats[e] is the identical slot_latency(u, v) double, precomputed
-      // at capture time.
-      double cost = lats[e];
-      if (processing_delay_ms != nullptr) {
-        cost += (*processing_delay_ms)[v];
-      }
-      const double candidate = dist[u] + cost;
-      if (stamp[v] != epoch || candidate < dist[v]) {
-        dist[v] = candidate;
-        stamp[v] = epoch;
-        queue.push_or_update(v, candidate);
-      }
-    }
-  }
+  dial_flood(snap, source, processing_delay_ms, snap.min_edge_ms(), 1.0,
+             scratch);
 }
 
 void flood_snapshot_fast(
     const OverlaySnapshot& snap, SlotId source,
     const std::vector<std::uint32_t>* processing_delay_fx,
-    FastMeasureScratch& scratch) {
+    MeasureScratch& scratch) {
   PROPSIM_CHECK(snap.fixed_point_ok());
-  PROPSIM_CHECK(snap.is_active(source));
-  if (processing_delay_fx != nullptr) {
-    PROPSIM_CHECK(processing_delay_fx->size() == snap.slot_count());
-  }
-  scratch.begin(snap.slot_count());
-  const std::uint32_t epoch = scratch.epoch;
-  auto& dist = scratch.dist_fx;
-  auto& stamp = scratch.stamp;
-  auto& done = scratch.done;
-  auto& buckets = scratch.buckets;  // all empty: previous run drained them
-  const int shift = bucket_shift_for(snap.min_edge_fx());
-  // Every edge relaxation adds >= min_edge_fx, so when the bucket width
-  // divides under it a node's distance is final the first time it pops
-  // from the current bucket (classic Dial). Otherwise relaxations can
-  // land back in the open bucket; the drain loop below reprocesses them
-  // (the growing-vector scan) until the bucket reaches a fixpoint, so
-  // distances stay exact either way.
-  const bool settle_on_pop =
-      (std::uint64_t{1} << shift) <= snap.min_edge_fx();
-
-  auto push = [&](SlotId v, std::uint64_t d) {
-    const std::size_t b = static_cast<std::size_t>(d >> shift);
-    if (b >= buckets.size()) buckets.resize(b + 1);
-    buckets[b].push_back(v);
-  };
-
-  dist[source] = 0;
-  stamp[source] = epoch;
-  push(source, 0);
-  std::size_t pending = 1;
-  std::size_t b = 0;
-  while (pending > 0) {
-    while (b < buckets.size() && buckets[b].empty()) ++b;
-    PROPSIM_DCHECK(b < buckets.size());
-    // Index loop, re-reading buckets[b] each access: relaxations may
-    // append to this bucket mid-drain, and push() can reallocate the
-    // outer bucket array, so no reference survives an expansion.
-    for (std::size_t i = 0; i < buckets[b].size(); ++i) {
-      const SlotId u = buckets[b][i];
-      --pending;
-      if (done[u] == epoch) continue;  // duplicate of a settled node
-      if ((dist[u] >> shift) != b) continue;  // stale: improved earlier
-      if (settle_on_pop) done[u] = epoch;
-      const std::uint64_t du = dist[u];
-      const auto targets = snap.targets(u);
-      const auto lats = snap.latencies_fx(u);
-      for (std::size_t e = 0; e < targets.size(); ++e) {
-        const SlotId v = targets[e];
-        std::uint64_t cost = lats[e];
-        if (processing_delay_fx != nullptr) {
-          cost += (*processing_delay_fx)[v];
-        }
-        const std::uint64_t candidate = du + cost;
-        if (stamp[v] != epoch || candidate < dist[v]) {
-          dist[v] = candidate;
-          stamp[v] = epoch;
-          push(v, candidate);
-          ++pending;
-        }
-      }
-    }
-    buckets[b].clear();
-  }
+  dial_flood(snap, source, processing_delay_fx,
+             static_cast<double>(snap.min_edge_fx()),
+             1.0 / OverlaySnapshot::kFxPerMs, scratch);
 }
 
 MeasureEngine::MeasureEngine(std::size_t threads, MeasureMode mode)
@@ -193,10 +180,8 @@ MeasureEngine::MeasureEngine(std::size_t threads, MeasureMode mode)
   threads_ = std::max<std::size_t>(threads, 1);
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
   scratch_.reserve(threads_);
-  fast_scratch_.reserve(threads_);
   for (std::size_t i = 0; i < threads_; ++i) {
     scratch_.push_back(std::make_unique<MeasureScratch>());
-    fast_scratch_.push_back(std::make_unique<FastMeasureScratch>());
   }
 }
 
@@ -230,7 +215,7 @@ void MeasureEngine::run_lookup(const OverlaySnapshot& snap,
                                std::span<const QueryPair> queries,
                                const std::vector<double>* processing_delay_ms,
                                std::vector<double>& out) {
-  // One Dijkstra per distinct source: order query indices by source,
+  // One flood per distinct source: order query indices by source,
   // then chunk the contiguous same-source runs across the workers. Each
   // worker writes only out[idx] for its own runs' indices. order_ and
   // runs_ are member buffers so a steady-state sweep reallocates
@@ -282,23 +267,15 @@ void MeasureEngine::run_lookup(const OverlaySnapshot& snap,
   out.assign(queries.size(), 0.0);
   for_chunks(runs_.size(), [&](std::size_t chunk, std::size_t begin,
                                std::size_t end) {
-    if (use_fast) {
-      FastMeasureScratch& scratch = *fast_scratch_[chunk];
-      for (std::size_t r = begin; r < end; ++r) {
-        const Run& run = runs_[r];
-        flood_snapshot_fast(snap, queries[order_[run.begin]].src, proc_fx,
-                            scratch);
-        for (std::size_t k = run.begin; k < run.end; ++k) {
-          out[order_[k]] = scratch.distance(queries[order_[k]].dst);
-        }
-      }
-      return;
-    }
     MeasureScratch& scratch = *scratch_[chunk];
     for (std::size_t r = begin; r < end; ++r) {
       const Run& run = runs_[r];
-      flood_snapshot(snap, queries[order_[run.begin]].src,
-                     processing_delay_ms, scratch);
+      const SlotId src = queries[order_[run.begin]].src;
+      if (use_fast) {
+        flood_snapshot_fast(snap, src, proc_fx, scratch);
+      } else {
+        flood_snapshot(snap, src, processing_delay_ms, scratch);
+      }
       for (std::size_t k = run.begin; k < run.end; ++k) {
         out[order_[k]] = scratch.distance(queries[order_[k]].dst);
       }

@@ -1,32 +1,60 @@
 // Parallel, deterministic measurement engine.
 //
-// Fans the per-source Dijkstras (and per-query routed lookups) of a
-// metric sweep out over a ThreadPool. Determinism contract: results are
-// bit-identical to the serial path regardless of thread count, because
+// Fans the per-source shortest-latency floods (and per-query routed
+// lookups) of a metric sweep out over a ThreadPool. Determinism
+// contract: results are bit-identical to the serial path regardless of
+// thread count, because
 //   - each worker writes only its own disjoint, preallocated slots of
 //     the output array (no shared accumulators, no result reordering),
-//   - the Dijkstra kernel over an OverlaySnapshot performs the same
-//     floating-point operations in the same order as the serial
-//     OverlayNetwork::flood_latencies (per-edge latencies are
-//     precomputed at capture, which is the identical double), and
+//   - every flood distance is a pure function of the snapshot (see the
+//     kernel argument below), and
 //   - averages are reduced serially in query-index order after the
 //     parallel map completes.
-// Worker scratch (distance array, priority queue, epoch-stamped visited
+// Worker scratch (distance array, buckets, epoch-stamped validity
 // marks) is allocated once per worker and reused across sources and
-// across snapshots; the epoch stamp makes clearing O(touched), and the
-// IndexedPriorityQueue self-cleans when a run pops it empty.
+// across snapshots; the epoch stamp makes clearing O(touched), and every
+// flood drains its buckets empty.
 //
-// Two flood kernels sit behind the same API:
-//   - kExact: binary-heap Dijkstra over the snapshot's double latencies,
-//     bit-identical to the live flood (the historical behavior);
-//   - kFast: a Dial/delta-stepping bucket queue over 32-bit fixed-point
-//     latencies (OverlaySnapshot::kFxFracBits fractional bits). The
-//     bucket array persists across sweeps via the same epoch-stamping
-//     trick, bucket width is sized from the snapshot's minimum edge
-//     weight, and distances are the exact Dijkstra values in fx units —
-//     so fast results are themselves bit-identical at any thread count,
-//     and differ from the exact kernel only by quantization (relative
-//     error <= 1e-6 on paper-scale latencies; see docs/PERF.md).
+// One flood kernel, a Dial bucket queue templated on the edge weight,
+// serves both measure modes:
+//   - kExact: the snapshot's double latencies, producing the same
+//     doubles as a binary-heap Dijkstra over the live overlay
+//     (OverlayNetwork::flood_latencies);
+//   - kFast: the snapshot's 32-bit fixed-point latencies
+//     (OverlaySnapshot::kFxFracBits fractional bits), exact shortest
+//     paths over the quantized weights; they differ from kExact only by
+//     quantization (relative error <= 1e-6 on paper-scale latencies;
+//     see docs/PERF.md).
+//
+// Why the bucket queue returns exactly the heap's doubles. A node's
+// distance is `du + cost` with `cost = lat[e] (+ proc[v])`, the same
+// operations in the same order as the live flood. Extending a path is
+// monotone in the prefix (fl(x + c) is non-decreasing in x) and never
+// shortens it (c >= 0, so fl(x + c) >= x). For such a path algebra every
+// label-correcting method that stops at a fixpoint — Dijkstra in any tie
+// order included — ends at the same value for every node: the minimum,
+// over paths, of the left-folded fl sum. The kernel is such a method:
+// bucket index floor(d * 2^-k) is exact scaling plus truncation, hence
+// monotone, so a relaxation from bucket b never lands below b; each
+// bucket is drained until no entry in it is current, and an entry is
+// current only while its distance equals the node's (improved nodes
+// are re-pushed, their old entries skipped). Fixed-point weights are
+// carried as integer-valued doubles below 2^53, where every sum is
+// exact, so that instantiation computes the integer shortest paths.
+//
+// Why it is also fast. The bucket width W = 2^k is the largest power
+// of two <= the snapshot's minimum edge cost (OverlaySnapshot::
+// min_edge_ms / min_edge_fx), clamped to [2^-4 ms, 2^40 ms]. For u in
+// bucket b and c >= W, du + c >= (b + 1)W and (b + 1)W is
+// representable, so round-to-nearest keeps fl(du + c) >= (b + 1)W:
+// nothing lands back in the open bucket, and every node settles on its
+// first current pop (classic Dial). When no such W exists — zero-cost
+// edges, or edges under the clamp — relaxations do land in the open
+// bucket and the drain above simply reaches its fixpoint later. Entries
+// more than 2^16 buckets past the current base wait in an overflow
+// list, so memory stays bounded whatever the spread of distances.
+// Non-finite candidates are never pushed; unreached slots read
+// +infinity.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +62,6 @@
 #include <span>
 #include <vector>
 
-#include "common/indexed_priority_queue.h"
 #include "common/thread_pool.h"
 #include "measure/overlay_snapshot.h"
 #include "measure/query.h"
@@ -47,46 +74,40 @@ enum class MeasureMode { kExact, kFast };
 
 const char* to_string(MeasureMode mode);
 
-/// Reusable per-worker Dijkstra state. dist[v] is valid only where
-/// stamp[v] == epoch; everything else is implicitly +infinity, so a new
-/// source costs one epoch bump instead of an O(V) refill.
+/// Reusable per-worker flood state, shared by both kernels. dist[v] is
+/// valid only where stamp[v] == epoch; everything else is implicitly
+/// +infinity, so a new source costs one epoch bump instead of an O(V)
+/// refill. The bucket vectors are drained empty by every flood, so
+/// their capacity is what persists across sweeps.
 struct MeasureScratch {
-  std::vector<double> dist;
+  /// A queued slot and the distance it was queued with; the entry is
+  /// stale once the slot's distance has improved past it.
+  struct Entry {
+    SlotId slot;
+    double dist;
+  };
+
+  std::vector<double> dist;  // in units of unit_ms
   std::vector<std::uint32_t> stamp;
   std::uint32_t epoch = 0;
-  IndexedPriorityQueue<double> queue{0};
+  double unit_ms = 1.0;  // 1 after flood_snapshot, 2^-20 after _fast
+  std::vector<std::vector<Entry>> buckets;
+  std::vector<Entry> overflow;  // entries past the bucket window
 
-  /// Resizes for a snapshot of `n` slots (no-op when already sized) and
-  /// opens a fresh epoch.
-  void begin(std::size_t n);
-
-  /// Distance from the last flood's source to v (+inf if unreached).
-  double distance(SlotId v) const;
-};
-
-/// Reusable per-worker state for the fast bucket-queue kernel. Same
-/// epoch discipline as MeasureScratch; the bucket vectors are drained
-/// empty by every run, so their capacity is what persists across
-/// sweeps (the "epoch-stamped bucket reuse").
-struct FastMeasureScratch {
-  std::vector<std::uint64_t> dist_fx;  // valid where stamp == epoch
-  std::vector<std::uint32_t> stamp;
-  std::vector<std::uint32_t> done;  // settled marks, same epoch
-  std::uint32_t epoch = 0;
-  std::vector<std::vector<SlotId>> buckets;
-
-  /// Resizes for a snapshot of `n` slots and opens a fresh epoch.
-  void begin(std::size_t n);
+  /// Resizes for a snapshot of `n` slots (no-op when already sized),
+  /// opens a fresh epoch and records the distance unit.
+  void begin(std::size_t n, double unit);
 
   /// Distance from the last flood's source to v in ms (+inf if
-  /// unreached). Exact conversion: dist_fx * 2^-20 has no rounding.
+  /// unreached). Exact conversion: the unit is a power of two.
   double distance(SlotId v) const;
 };
 
 /// Single-source shortest latency over a snapshot, bit-identical to
 /// OverlayNetwork::flood_latencies over the live overlay (with the same
-/// link filter applied at capture). Results land in `scratch`; read
-/// them through scratch.distance().
+/// link filter applied at capture). Processing delays, when given, must
+/// be non-negative. Results land in `scratch`; read them through
+/// scratch.distance().
 void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
                     const std::vector<double>* processing_delay_ms,
                     MeasureScratch& scratch);
@@ -99,7 +120,7 @@ void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
 /// state left by previous runs.
 void flood_snapshot_fast(const OverlaySnapshot& snap, SlotId source,
                          const std::vector<std::uint32_t>* processing_delay_fx,
-                         FastMeasureScratch& scratch);
+                         MeasureScratch& scratch);
 
 /// Deterministic work counters for one engine's lifetime: floods are
 /// counted per distinct source per sweep (before the parallel fan-out),
@@ -131,7 +152,7 @@ class MeasureEngine {
   const MeasureStats& stats() const { return stats_; }
 
   /// Flood first-response latency of each query (queries grouped by
-  /// source, one Dijkstra per distinct source, sources chunked over the
+  /// source, one flood per distinct source, sources chunked over the
   /// workers). Mirrors metrics' unstructured_lookup_latencies.
   std::vector<double> lookup_latencies(
       const OverlaySnapshot& snap, std::span<const QueryPair> queries,
@@ -192,7 +213,6 @@ class MeasureEngine {
   MeasureStats stats_;
   std::unique_ptr<ThreadPool> pool_;  // null when serial
   std::vector<std::unique_ptr<MeasureScratch>> scratch_;  // one per chunk
-  std::vector<std::unique_ptr<FastMeasureScratch>> fast_scratch_;
   // Sweep-shaped buffers reused across calls (the engine is not
   // re-entrant; callers already serialize sweeps).
   std::vector<std::size_t> order_;

@@ -31,6 +31,7 @@ OverlaySnapshot OverlaySnapshot::capture(
       const double ms = net.slot_latency(s, v);
       snap.targets_.push_back(v);
       snap.latency_ms_.push_back(ms);
+      snap.min_edge_ms_ = std::min(snap.min_edge_ms_, ms);
       const std::uint64_t fx = quantize_ms(ms);
       if (fx > kFxMaxEdge) {
         snap.fx_ok_ = false;

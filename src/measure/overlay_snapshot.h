@@ -12,12 +12,13 @@
 //
 // Each edge latency is stored twice: as the exact double the live flood
 // would compute (the bit-identity path) and as a 32-bit fixed-point
-// weight (kFxPerMs units per millisecond) for the cache-dense fast
-// kernel. The fixed-point array is half the bytes per edge, so the fast
-// sweep streams twice the adjacency per cache line.
+// weight (kFxPerMs units per millisecond) for the opt-in fast kernel.
+// The smallest edge of each kind is recorded too: it sizes the flood
+// kernel's buckets (measure_engine.h).
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -46,9 +47,9 @@ class OverlaySnapshot {
   OverlaySnapshot() = default;
 
   /// Captures the overlay's current state. Neighbor order is preserved
-  /// exactly as the live graph iterates it, so a Dijkstra over the
-  /// snapshot relaxes edges in the same order as one over the live
-  /// overlay and produces bit-identical distances. `link_ok` (e.g. the
+  /// exactly as the live graph iterates it, and each edge carries the
+  /// identical slot_latency double, so a flood over the snapshot
+  /// produces the live flood's distances bit for bit. `link_ok` (e.g. the
   /// fault plan's partition filter) prunes directed logical edges at
   /// capture time: a pruned edge simply does not exist in the snapshot,
   /// matching a flood that skips it at relax time.
@@ -93,6 +94,10 @@ class OverlaySnapshot {
   /// there are no edges). The fast kernel sizes its buckets from this.
   std::uint32_t min_edge_fx() const { return min_edge_fx_; }
 
+  /// Smallest edge latency in ms (+infinity when there are no edges).
+  /// The exact kernel sizes its buckets from this.
+  double min_edge_ms() const { return min_edge_ms_; }
+
  private:
   std::vector<std::size_t> offsets_;  // slot_count + 1 row starts
   std::vector<SlotId> targets_;
@@ -100,6 +105,7 @@ class OverlaySnapshot {
   std::vector<std::uint32_t> latency_fx_;
   std::vector<std::uint8_t> active_;
   std::uint32_t min_edge_fx_ = 0xffffffffu;
+  double min_edge_ms_ = std::numeric_limits<double>::infinity();
   bool fx_ok_ = true;
 };
 

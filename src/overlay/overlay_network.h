@@ -99,6 +99,16 @@ class OverlayNetwork {
       const std::vector<double>* processing_delay_ms = nullptr,
       const LinkFilter* link_ok = nullptr) const;
 
+  /// Point-to-point form of flood_latencies_into: the shortest latency
+  /// from `source` to `dst` alone (+infinity when unreachable). The
+  /// search stops as soon as `dst` is settled, which is already its
+  /// final value, so the result equals flood_latencies_into(...)[dst].
+  /// scratch.dist holds partial results afterwards.
+  double flood_latency_to(FloodScratch& scratch, SlotId source, SlotId dst,
+                          const std::vector<double>* processing_delay_ms =
+                              nullptr,
+                          const LinkFilter* link_ok = nullptr) const;
+
   /// Hop-count BFS distances over logical edges, capped at max_hops
   /// (entries beyond the cap are UINT32_MAX).
   std::vector<std::uint32_t> hop_distances(SlotId source,
@@ -110,6 +120,12 @@ class OverlayNetwork {
       FloodScratch& scratch, SlotId source, std::uint32_t max_hops) const;
 
  private:
+  /// Dijkstra into scratch.dist, stopping once `stop` is settled
+  /// (kInvalidSlot: flood everything). Leaves scratch.queue empty.
+  void flood_until(FloodScratch& scratch, SlotId source, SlotId stop,
+                   const std::vector<double>* processing_delay_ms,
+                   const LinkFilter* link_ok) const;
+
   LogicalGraph graph_;
   Placement placement_;
   const LatencyOracle* oracle_;

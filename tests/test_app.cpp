@@ -130,6 +130,14 @@ TEST(ExperimentSpec, RejectsBiasWithoutHeterogeneity) {
   EXPECT_TRUE(mentions(result, "fraction_fast_dest"));
 }
 
+TEST(ExperimentSpec, RejectsNegativeProcessingDelays) {
+  const auto result = ExperimentSpec::from_config(Config::parse(
+      "heterogeneity = bimodal\nfast_delay_ms = -1\nslow_delay_ms = inf\n"));
+  EXPECT_FALSE(result.ok());
+  EXPECT_TRUE(mentions(result, "fast_delay_ms"));
+  EXPECT_TRUE(mentions(result, "slow_delay_ms"));
+}
+
 TEST(ExperimentSpec, UnknownKeyGetsSuggestion) {
   const auto result =
       ExperimentSpec::from_config(Config::parse("nodess = 64\n"));

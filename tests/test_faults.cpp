@@ -333,6 +333,25 @@ TEST(ExperimentFaults, PartitionMakesLookupsUnreachable) {
   EXPECT_TRUE(result.connected);
 }
 
+TEST(ExperimentFaults, RetriedPrepareSurvivesCrashedWalkSlot) {
+  // configs/faults_loss5.conf at seeds where a walk slot or the
+  // counterpart crashes during a PREPARE's retransmission timeout. The
+  // retry used to price the walk through the vacated slot (an unbound
+  // placement read) and crash; it now aborts as kPeerCrashed instead.
+  const std::string base =
+      "overlay = gnutella\nprotocol = prop-o\nnodes = 800\n"
+      "horizon = 7200\nmodel_message_delays = true\nlookup_rate = 2\n"
+      "fault_loss = 0.05\nfault_jitter = 0.2\nfault_crash = 0.02\n"
+      "fault_max_retries = 2\n";
+  for (const int seed : {9, 20}) {
+    const auto result = run_experiment(
+        parse_spec(base + "seed = " + std::to_string(seed) + "\n"));
+    EXPECT_GT(result.retries, 0u) << "seed " << seed;
+    EXPECT_GT(result.fault_crashes, 0u) << "seed " << seed;
+    EXPECT_GT(result.exchanges, 0u) << "seed " << seed;
+  }
+}
+
 TEST(ExperimentFaults, InvalidFaultKeysAreRejectedTogether) {
   const SpecResult bad = ExperimentSpec::from_config(Config::parse(
       std::string(kSmallBase) +

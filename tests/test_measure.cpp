@@ -1,12 +1,16 @@
 // Measurement engine: snapshot fidelity, parallel determinism (results
 // bit-identical to the serial path for any thread count), scratch
-// reuse, the delta-stepping fast kernel's bounded-error equivalence,
+// reuse, the Dial kernel against a reference heap Dijkstra (bit for
+// bit), the fixed-point kernel's bounded-error equivalence,
 // snapshot caching, the measure_threads / measure_mode config keys,
 // and golden whole-experiment JSON across thread counts.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,6 +20,7 @@
 #include "app/result_json.h"
 #include "chord/chord_ring.h"
 #include "common/config.h"
+#include "common/indexed_priority_queue.h"
 #include "fixtures.h"
 #include "measure/measure_engine.h"
 #include "measure/snapshot_cache.h"
@@ -142,7 +147,7 @@ TEST(FloodSnapshotFast, MatchesExactWithinQuantizationBound) {
         static_cast<std::uint32_t>(OverlaySnapshot::quantize_ms(proc[s]));
   }
   MeasureScratch exact;
-  FastMeasureScratch fast;
+  MeasureScratch fast;
   for (SlotId src = 0; src < n; ++src) {
     flood_snapshot(snap, src, &proc, exact);
     flood_snapshot_fast(snap, src, &proc_fx, fast);
@@ -165,7 +170,7 @@ TEST(FloodSnapshotFast, ExactOnIntegralLatenciesWithoutDelays) {
   auto fx = UnstructuredFixture::make(40, 7022);
   const OverlaySnapshot snap = OverlaySnapshot::capture(fx.net);
   MeasureScratch exact;
-  FastMeasureScratch fast;
+  MeasureScratch fast;
   for (const SlotId src : {SlotId{0}, SlotId{13}, SlotId{29}}) {
     flood_snapshot(snap, src, nullptr, exact);
     flood_snapshot_fast(snap, src, nullptr, fast);
@@ -173,6 +178,291 @@ TEST(FloodSnapshotFast, ExactOnIntegralLatenciesWithoutDelays) {
       EXPECT_EQ(fast.distance(v), exact.distance(v))
           << "src " << src << " v " << v;
     }
+  }
+}
+
+// ------------------------------------------- differential: Dial kernel ----
+//
+// The bucket kernel against the textbook binary-heap Dijkstra it
+// replaced, kept here as the reference: same arithmetic (cost = lat
+// (+ proc), candidate = du + cost), strict-improvement relaxation.
+// Equality is bit-for-bit. Worlds are hand-built so edge costs can be
+// off-grid, zero, below the bucket-width clamp, infinite or spread past
+// the bucket window.
+
+template <typename Dist, typename Weight>
+std::vector<Dist> heap_dijkstra(
+    const OverlaySnapshot& snap, SlotId src,
+    std::span<const Weight> (OverlaySnapshot::*weights)(SlotId) const,
+    const std::vector<Weight>* proc, Dist unreached) {
+  std::vector<Dist> dist(snap.slot_count(), unreached);
+  IndexedPriorityQueue<Dist> queue(snap.slot_count());
+  dist[src] = 0;
+  queue.push_or_update(src, 0);
+  while (!queue.empty()) {
+    const auto u = static_cast<SlotId>(queue.pop());
+    const auto targets = snap.targets(u);
+    const auto w = (snap.*weights)(u);
+    for (std::size_t e = 0; e < targets.size(); ++e) {
+      const SlotId v = targets[e];
+      Dist cost = w[e];
+      if (proc != nullptr) cost += (*proc)[v];
+      const Dist candidate = dist[u] + cost;
+      if (candidate < dist[v]) {
+        dist[v] = candidate;
+        queue.push_or_update(v, candidate);
+      }
+    }
+  }
+  return dist;
+}
+
+/// Index of the first element whose bytes differ, or -1.
+long first_bit_difference(const std::vector<double>& a,
+                          const std::vector<double>& b) {
+  if (a.size() != b.size()) return 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0) {
+      return static_cast<long>(i);
+    }
+  }
+  return -1;
+}
+
+/// One slot per physical host (slot s on host s) over a hand-built
+/// physical graph; unreachable hosts give infinite slot latencies.
+struct ToyWorld {
+  Graph physical;
+  LatencyOracle oracle;
+  OverlayNetwork net;
+
+  ToyWorld(Graph g, const std::vector<std::pair<SlotId, SlotId>>& links)
+      : physical(std::move(g)), oracle(physical), net(make_net(links)) {}
+
+ private:
+  OverlayNetwork make_net(
+      const std::vector<std::pair<SlotId, SlotId>>& links) const {
+    const std::size_t n = physical.node_count();
+    LogicalGraph graph(n);
+    for (const auto& [a, b] : links) {
+      if (a != b && !graph.has_edge(a, b)) graph.add_edge(a, b);
+    }
+    Placement placement(n, n);
+    for (SlotId s = 0; s < n; ++s) placement.bind(s, s);
+    return OverlayNetwork(std::move(graph), std::move(placement), oracle);
+  }
+};
+
+struct WorldShape {
+  std::function<double(Rng&)> weight;  // physical edge weight
+  bool split = false;     // two physical components: infinite latencies
+  bool isolate = false;   // some slots without overlay links: unreachable
+};
+
+std::unique_ptr<ToyWorld> make_world(const WorldShape& shape,
+                                     std::uint64_t seed, std::size_t n = 48) {
+  Rng rng(seed);
+  Graph g(n);
+  // A random spanning tree per component plus chords.
+  const std::size_t half = shape.split ? n / 2 : n;
+  for (NodeId v = 1; v < n; ++v) {
+    if (v == half) continue;  // first node of the second component
+    const NodeId lo = v < half ? 0 : static_cast<NodeId>(half);
+    const auto u = static_cast<NodeId>(lo + rng.uniform(v - lo));
+    g.add_edge(u, v, shape.weight(rng));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto u = static_cast<NodeId>(rng.uniform(n));
+    const auto v = static_cast<NodeId>(rng.uniform(n));
+    const bool same_side = (u < half) == (v < half);
+    if (u != v && same_side && !g.has_edge(u, v)) {
+      g.add_edge(u, v, shape.weight(rng));
+    }
+  }
+  std::vector<std::pair<SlotId, SlotId>> links;
+  const std::size_t linked = shape.isolate ? n - 5 : n;
+  for (SlotId s = 1; s < linked; ++s) {
+    links.emplace_back(static_cast<SlotId>(rng.uniform(s)), s);
+  }
+  for (std::size_t i = 0; i < 2 * linked; ++i) {
+    links.emplace_back(static_cast<SlotId>(rng.uniform(linked)),
+                       static_cast<SlotId>(rng.uniform(linked)));
+  }
+  auto world = std::make_unique<ToyWorld>(std::move(g), links);
+  // Departed peers: inactive slots are neither sources nor reachable.
+  for (const SlotId s : {SlotId{3}, SlotId{17}}) {
+    world->net.graph().deactivate_slot(s);
+  }
+  return world;
+}
+
+/// Every active source, with and without processing delays (uniform up
+/// to `max_proc_ms`), exact kernel against the double heap and (when
+/// encodable) the fixed-point kernel against the integer heap.
+void expect_kernels_match_heap(const OverlaySnapshot& snap, Rng& rng,
+                               double max_proc_ms = 12.0) {
+  const std::size_t n = snap.slot_count();
+  std::vector<double> proc(n);
+  std::vector<std::uint32_t> proc_fx(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    proc[s] = s % 4 == 0 ? 0.0 : rng.uniform_double(0.0, max_proc_ms);
+    proc_fx[s] =
+        static_cast<std::uint32_t>(OverlaySnapshot::quantize_ms(proc[s]));
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr auto kUnreachedFx = std::numeric_limits<std::uint64_t>::max();
+  MeasureScratch scratch;  // reused across sources, kernels and delays
+  std::vector<double> got(n);
+  for (SlotId src = 0; src < n; ++src) {
+    if (!snap.is_active(src)) continue;
+    for (const bool with_proc : {false, true}) {
+      const auto want = heap_dijkstra<double, double>(
+          snap, src, &OverlaySnapshot::latencies, with_proc ? &proc : nullptr,
+          kInf);
+      flood_snapshot(snap, src, with_proc ? &proc : nullptr, scratch);
+      for (SlotId v = 0; v < n; ++v) got[v] = scratch.distance(v);
+      EXPECT_EQ(first_bit_difference(got, want), -1)
+          << "exact kernel, src " << src << " proc " << with_proc;
+
+      if (!snap.fixed_point_ok()) continue;
+      // The integer heap is what the fast kernel always computed: exact
+      // shortest paths over the quantized weights.
+      const auto want_fx = heap_dijkstra<std::uint64_t, std::uint32_t>(
+          snap, src, &OverlaySnapshot::latencies_fx,
+          with_proc ? &proc_fx : nullptr, kUnreachedFx);
+      std::vector<double> want_fx_ms(n);
+      for (SlotId v = 0; v < n; ++v) {
+        want_fx_ms[v] = want_fx[v] == kUnreachedFx
+                            ? kInf
+                            : static_cast<double>(want_fx[v]) /
+                                  OverlaySnapshot::kFxPerMs;
+      }
+      flood_snapshot_fast(snap, src, with_proc ? &proc_fx : nullptr, scratch);
+      for (SlotId v = 0; v < n; ++v) got[v] = scratch.distance(v);
+      EXPECT_EQ(first_bit_difference(got, want_fx_ms), -1)
+          << "fixed-point kernel, src " << src << " proc " << with_proc;
+    }
+  }
+}
+
+double max_finite_distance(const OverlaySnapshot& snap) {
+  double worst = 0.0;
+  MeasureScratch scratch;
+  for (SlotId src = 0; src < snap.slot_count(); ++src) {
+    if (!snap.is_active(src)) continue;
+    flood_snapshot(snap, src, nullptr, scratch);
+    for (SlotId v = 0; v < snap.slot_count(); ++v) {
+      if (std::isfinite(scratch.distance(v))) {
+        worst = std::max(worst, scratch.distance(v));
+      }
+    }
+  }
+  return worst;
+}
+
+TEST(DialKernelDifferential, OffGridDoublesAndUnreachableSlots) {
+  const WorldShape shape{[](Rng& r) { return r.uniform_double(0.3, 25.0); },
+                         false, true};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto world = make_world(shape, 8100 + seed);
+    const auto snap = OverlaySnapshot::capture(world->net);
+    ASSERT_TRUE(snap.fixed_point_ok());
+    Rng rng(seed);
+    expect_kernels_match_heap(snap, rng);
+  }
+}
+
+TEST(DialKernelDifferential, ZeroCostEdgesTakeTheFixpointDrain) {
+  // Physical weights are positive, so zero costs arise from rounding:
+  // picosecond edges quantize to 0 fx, and in doubles fl(du + c) == du
+  // once du is a few ulps past c — both relax without moving distance.
+  const WorldShape shape{[](Rng& r) {
+    return r.bernoulli(0.4) ? r.uniform_double(1e-12, 1e-9)
+                            : r.uniform_double(0.2, 9.0);
+  }};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto world = make_world(shape, 8200 + seed);
+    const auto snap = OverlaySnapshot::capture(world->net);
+    ASSERT_LT(snap.min_edge_ms(), 1e-8);
+    ASSERT_EQ(snap.min_edge_fx(), 0u);
+    Rng rng(seed);
+    expect_kernels_match_heap(snap, rng);
+  }
+}
+
+TEST(DialKernelDifferential, EdgesBelowTheWidthClampTakeTheFixpointDrain) {
+  // Bucket width never drops below 2^-4 ms, so these edges are narrower
+  // than their bucket and relaxations land back in the open one.
+  const WorldShape shape{[](Rng& r) { return r.uniform_double(0.001, 0.05); }};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto world = make_world(shape, 8300 + seed);
+    const auto snap = OverlaySnapshot::capture(world->net);
+    ASSERT_GT(snap.min_edge_ms(), 0.0);
+    ASSERT_LT(snap.min_edge_ms(), 0.0625);
+    Rng rng(seed);
+    expect_kernels_match_heap(snap, rng);
+  }
+}
+
+TEST(DialKernelDifferential, InfiniteLatenciesAcrossPhysicalComponents) {
+  const WorldShape shape{[](Rng& r) { return r.uniform_double(0.5, 30.0); },
+                         true, false};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto world = make_world(shape, 8400 + seed);
+    const auto snap = OverlaySnapshot::capture(world->net);
+    ASSERT_FALSE(snap.fixed_point_ok());  // infinite edges do not encode
+    bool infinite_edge = false;
+    for (SlotId s = 0; s < snap.slot_count(); ++s) {
+      for (const double ms : snap.latencies(s)) {
+        infinite_edge = infinite_edge || std::isinf(ms);
+      }
+    }
+    ASSERT_TRUE(infinite_edge);
+    Rng rng(seed);
+    expect_kernels_match_heap(snap, rng);
+  }
+}
+
+TEST(DialKernelDifferential, LinkFilteredCaptures) {
+  const WorldShape shape{[](Rng& r) { return r.uniform_double(0.3, 25.0); }};
+  const OverlayNetwork::LinkFilter drop = [](SlotId a, SlotId b) {
+    return (7 * a + b) % 5 != 0;  // asymmetric: prunes directed edges
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto world = make_world(shape, 8500 + seed);
+    const auto snap = OverlaySnapshot::capture(world->net, &drop);
+    Rng rng(seed);
+    expect_kernels_match_heap(snap, rng);
+  }
+}
+
+TEST(DialKernelDifferential, DistancesPastTheBucketWindowOverflow) {
+  // 0.1 ms edges pin the width at 2^-4 ms, so the 2^16-bucket window
+  // covers 4096 ms. Second-scale processing delays (still fixed-point
+  // encodable) or second-scale edges (not encodable) push paths several
+  // windows past it.
+  const WorldShape encodable{[](Rng& r) {
+    return r.bernoulli(0.3) ? 0.1 : r.uniform_double(5.0, 50.0);
+  }};
+  const WorldShape wide{[](Rng& r) {
+    return r.bernoulli(0.3) ? 0.1 : r.uniform_double(2000.0, 6000.0);
+  }};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto world = make_world(encodable, 8600 + seed);
+    const auto snap = OverlaySnapshot::capture(world->net);
+    ASSERT_LT(snap.min_edge_ms(), 0.125);
+    ASSERT_TRUE(snap.fixed_point_ok());
+    Rng rng(seed);
+    expect_kernels_match_heap(snap, rng, /*max_proc_ms=*/3000.0);
+  }
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto world = make_world(wide, 8700 + seed);
+    const auto snap = OverlaySnapshot::capture(world->net);
+    ASSERT_LT(snap.min_edge_ms(), 0.125);
+    ASSERT_FALSE(snap.fixed_point_ok());
+    ASSERT_GT(max_finite_distance(snap), 2 * 4096.0);
+    Rng rng(seed);
+    expect_kernels_match_heap(snap, rng);
   }
 }
 
