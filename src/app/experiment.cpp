@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -280,6 +282,23 @@ SpecResult ExperimentSpec::from_config(const Config& config) {
     p.error("nodes", "must be at least 8, got " + std::to_string(nodes));
   }
   spec.nodes = static_cast<std::size_t>(std::max<std::int64_t>(nodes, 8));
+  if (spec.topology != Topology::kWaxman) {
+    // Hosts, plus a quarter spare for churn joins, are drawn from the
+    // preset's stub nodes; waxman sizes its graph from `nodes` instead.
+    const bool large = spec.topology == Topology::kTsLarge;
+    const std::size_t capacity =
+        (large ? TransitStubConfig::ts_large() : TransitStubConfig::ts_small())
+            .stub_node_count();
+    if (spec.nodes + spec.nodes / 4 > capacity) {
+      p.error("nodes",
+              std::string(large ? "ts-large" : "ts-small") + " has " +
+                  std::to_string(capacity) +
+                  " stub hosts, too few for nodes plus a quarter spare; "
+                  "got " + std::to_string(spec.nodes),
+              "use nodes <= " + std::to_string(capacity * 4 / 5) +
+                  ", or topology = waxman");
+    }
+  }
   spec.seed = static_cast<std::uint64_t>(p.get_int("seed", 20070901));
   spec.horizon_s = p.get_double("horizon", 3600.0);
   if (spec.horizon_s <= 0.0) {
@@ -464,7 +483,9 @@ SpecResult ExperimentSpec::from_config(const Config& config) {
             "use topology = ts-large | ts-small, or drop the key");
   }
 
+  // `off` is the documented default, so it disables like an empty value.
   spec.trace_path = config.get_string("trace", "");
+  if (spec.trace_path == "off") spec.trace_path.clear();
   if (!spec.trace_path.empty() && !obs::trace_compiled_in()) {
     p.error("trace", "trace output requires a PROPSIM_TRACE=ON build",
             "rebuild with -DPROPSIM_TRACE=ON (the default preset has it)");
@@ -1071,10 +1092,14 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   // the fallback version bumps every call so the cache conservatively
   // recaptures (values are identical either way — reuse is pure
   // caching — matching the trace-off bit-identity contract).
-  SnapshotCache snap_cache([&net, &flood_filter] {
+  auto capture_overlay = [&net, &flood_filter] {
     return OverlaySnapshot::capture(*net,
                                     flood_filter ? &flood_filter : nullptr);
-  });
+  };
+  SnapshotCache snap_cache(capture_overlay);
+  // The event-driven lookups keep a cache of their own (see resolve), so
+  // the sweep cache's captures + reuses still count sample ticks.
+  SnapshotCache live_cache(capture_overlay);
   std::uint64_t untracked_version = 0;
   auto topology_version = [&]() -> std::uint64_t {
     if (!obs::trace_compiled_in()) return ++untracked_version;
@@ -1182,6 +1207,11 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   }
 
   // Optional event-driven lookup traffic experiencing the live overlay.
+  // resolve's state lives here, beside the traffic that calls it.
+  MeasureScratch live_scratch;
+  std::vector<double> live_proc;
+  std::optional<std::uint64_t> live_proc_version;
+  OverlayNetwork::FloodScratch live_check;  // paranoid builds only
   std::unique_ptr<LookupTrafficProcess> traffic;
   if (spec.lookup_rate_per_s > 0.0) {
     LookupTrafficParams tparams;
@@ -1189,15 +1219,29 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
     tparams.start_s = 0.0;
     tparams.end_s = spec.horizon_s;
     tparams.window_s = spec.sample_interval_s;
-    // Flood scratch shared across lookup events (one resolve at a time
-    // on the sim thread); shared_ptr keeps it alive inside the closure.
-    auto flood_scratch = std::make_shared<OverlayNetwork::FloodScratch>();
-    auto resolve = [&, spec, flood_scratch](const QueryPair& q) -> double {
-      std::vector<double> proc;
+    // Gnutella lookups are answered from live_cache's snapshot, keyed by
+    // the same topology version as the sweep cache: the overlay moves
+    // only on exchange commits, churn, crashes and partition edges, so
+    // most lookups reuse the snapshot and each one runs the early-stopping
+    // Dial flood over precomputed edge latencies — bit-identical to a
+    // flood of the live overlay (measure_engine.h). Processing delays
+    // depend only on the slot->host binding and are cached under the same
+    // version. The version is read once per lookup: a PROPSIM_TRACE=OFF
+    // build bumps it on every call and so recaptures per lookup, which is
+    // correct but slower (docs/PERF.md). Paranoid builds re-answer every
+    // lookup on the live overlay and require the same double.
+    auto resolve = [&, spec](const QueryPair& q) -> double {
+      const std::uint64_t version = topology_version();
       const std::vector<double>* proc_ptr = nullptr;
       if (delays) {
-        proc = delays->slot_delays(*net);
-        proc_ptr = &proc;
+        if (live_proc_version != version) {
+          live_proc = delays->slot_delays(*net);
+          live_proc_version = version;
+        }
+        if (paranoid_checks_enabled()) {
+          PROPSIM_CHECK(live_proc == delays->slot_delays(*net));
+        }
+        proc_ptr = &live_proc;
       }
       // Event-driven lookups are the only routed queries traced per hop;
       // the 10k-query metric snapshots stay untraced so sampling does
@@ -1212,10 +1256,17 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
         return path_latency(*net, path, proc_ptr);
       };
       switch (spec.overlay) {
-        case ExperimentSpec::Overlay::kGnutella:
-          return net->flood_latency_to(
-              *flood_scratch, q.src, q.dst, proc_ptr,
-              flood_filter ? &flood_filter : nullptr);
+        case ExperimentSpec::Overlay::kGnutella: {
+          const double latency = flood_snapshot_to(
+              live_cache.at(version), q.src, q.dst, proc_ptr, live_scratch);
+          if (paranoid_checks_enabled()) {
+            const double live = net->flood_latencies_into(
+                live_check, q.src, proc_ptr,
+                flood_filter ? &flood_filter : nullptr)[q.dst];
+            PROPSIM_CHECK(std::memcmp(&latency, &live, sizeof latency) == 0);
+          }
+          return latency;
+        }
         case ExperimentSpec::Overlay::kChord:
           return routed(chord->lookup_path(q.src, chord->id_of(q.dst)));
         case ExperimentSpec::Overlay::kPastry:
@@ -1330,6 +1381,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   result.measure_fast_floods = measure.stats().fast_floods;
   result.measure_snapshot_captures = snap_cache.captures();
   result.measure_snapshot_reuses = snap_cache.reuses();
+  result.live_snapshot_captures = live_cache.captures();
+  result.live_snapshot_reuses = live_cache.reuses();
   result.control_messages = net->traffic().control_total();
   if (churn) {
     result.churn_joins = churn->joins();

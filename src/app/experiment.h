@@ -357,6 +357,13 @@ struct ExperimentResult {
   std::uint64_t measure_fast_floods = 0;
   std::uint64_t measure_snapshot_captures = 0;
   std::uint64_t measure_snapshot_reuses = 0;
+  /// Snapshot cache of the event-driven Gnutella lookups (zero
+  /// otherwise): captures + reuses == lookups_issued. Kept apart from
+  /// the sweep cache above and deliberately not serialized or listed in
+  /// counters(): they report execution, not results, and a
+  /// PROPSIM_TRACE=OFF build recaptures on every lookup.
+  std::uint64_t live_snapshot_captures = 0;
+  std::uint64_t live_snapshot_reuses = 0;
   bool connected = false;
   std::size_t final_population = 0;
 

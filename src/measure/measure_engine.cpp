@@ -28,11 +28,14 @@ constexpr double kMaxScaled = 0x1p62;
 
 /// One Dial flood over the snapshot's `Cost` edge weights (double ms or
 /// uint32 fx), distances in units of `unit_ms`; the argument for its
-/// exactness is in measure_engine.h.
+/// exactness is in measure_engine.h. With `stop` set, returns once the
+/// bucket holding stop's current entry has drained (its distance is then
+/// final), after emptying the buckets still filled.
 template <typename Cost>
 void dial_flood(const OverlaySnapshot& snap, SlotId source,
                 const std::vector<Cost>* proc, double min_edge,
-                double unit_ms, MeasureScratch& scratch) {
+                double unit_ms, MeasureScratch& scratch,
+                SlotId stop = kInvalidSlot) {
   PROPSIM_CHECK(snap.is_active(source));
   if (proc != nullptr) PROPSIM_CHECK(proc->size() == snap.slot_count());
   scratch.begin(snap.slot_count(), unit_ms);
@@ -124,6 +127,14 @@ void dial_flood(const OverlaySnapshot& snap, SlotId source,
       }
     }
     buckets[b].clear();
+    if (stop != kInvalidSlot && stamp[stop] == epoch &&
+        index_of(dist[stop]) <= base + b) {
+      // Every bucket up to b has drained and no relaxation lands below
+      // the open bucket, so dist[stop] is final.
+      for (std::size_t r = b + 1; r <= top; ++r) buckets[r].clear();
+      overflow.clear();
+      return;
+    }
   }
 }
 }  // namespace
@@ -160,6 +171,16 @@ void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
                     MeasureScratch& scratch) {
   dial_flood(snap, source, processing_delay_ms, snap.min_edge_ms(), 1.0,
              scratch);
+}
+
+double flood_snapshot_to(const OverlaySnapshot& snap, SlotId source,
+                         SlotId dst,
+                         const std::vector<double>* processing_delay_ms,
+                         MeasureScratch& scratch) {
+  PROPSIM_CHECK(dst < snap.slot_count());
+  dial_flood(snap, source, processing_delay_ms, snap.min_edge_ms(), 1.0,
+             scratch, dst);
+  return scratch.distance(dst);
 }
 
 void flood_snapshot_fast(

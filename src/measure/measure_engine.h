@@ -55,6 +55,29 @@
 // list, so memory stays bounded whatever the spread of distances.
 // Non-finite candidates are never pushed; unreached slots read
 // +infinity.
+//
+// Point-to-point queries (flood_snapshot_to) run the same kernel and stop
+// early, once the bucket holding the destination's current entry has
+// fully drained. By the monotonicity above no relaxation from that bucket
+// or a later one lands at or below its index, so the destination's
+// distance can no longer move: the early answer is the full flood's
+// entry bit for bit. The rule waits for the whole bucket, not for the
+// destination's pop, because in the fixpoint drain (zero-cost or
+// sub-clamp edges) a later entry of the same bucket may still lower it.
+// The remaining buckets and the overflow list are cleared before
+// returning, so the scratch is left drained like after a full flood.
+//
+// Why a snapshot flood equals a flood of the live overlay. capture()
+// copies each slot's neighbor list in live iteration order with the
+// identical slot_latency double per edge, and drops exactly the edges
+// the link filter rejects; the relaxation then computes du + lat (+ proc)
+// as the live flood does. The live heap flood is itself a label-
+// correcting method over the same path algebra, so by the argument above
+// both reach the same fixpoint. A snapshot is therefore interchangeable
+// with the live overlay for as long as nothing the capture read has
+// changed: the graph, the slot->host binding and the filter's state.
+// The experiment keys its caches on a topology version that every such
+// change bumps (snapshot_cache.h).
 #pragma once
 
 #include <cstdint>
@@ -111,6 +134,18 @@ struct MeasureScratch {
 void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
                     const std::vector<double>* processing_delay_ms,
                     MeasureScratch& scratch);
+
+/// Shortest latency from `source` to `dst` alone, over the same kernel
+/// as flood_snapshot (+infinity when `dst` is unreachable or inactive;
+/// 0 when dst == source). Bit-identical to flood_snapshot's distance of
+/// `dst` and to OverlayNetwork::flood_latencies(source, ...)[dst] on the
+/// captured overlay; the flood stops early (see the header comment).
+/// Afterwards scratch.distance() of other slots is partial, but the
+/// scratch is drained and ready for any next flood.
+double flood_snapshot_to(const OverlaySnapshot& snap, SlotId source,
+                         SlotId dst,
+                         const std::vector<double>* processing_delay_ms,
+                         MeasureScratch& scratch);
 
 /// Fast fixed-point flood. Requires snap.fixed_point_ok();
 /// `processing_delay_fx`, when given, holds per-slot delays already

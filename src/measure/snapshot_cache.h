@@ -10,9 +10,13 @@
 // proves no such event ran since the last capture. Reuse is therefore
 // pure caching: it can never change a result, only skip redundant work.
 //
+// The experiment keeps two caches on that version: one for the metric
+// sweeps at sample ticks and one for the event-driven Gnutella lookups,
+// which reuse a snapshot for every lookup between two topology events.
+//
 // In a PROPSIM_TRACE=OFF build the bus counters stay zero and cannot
-// witness changes; the experiment feeds a version that bumps every tick
-// instead, so the cache conservatively recaptures (results stay
+// witness changes; the experiment feeds a version that bumps on every
+// read instead, so both caches conservatively recapture (results stay
 // bit-identical across build modes; only the reuse counters differ,
 // like the trace counters already do).
 #pragma once

@@ -85,23 +85,6 @@ const std::vector<double>& OverlayNetwork::flood_latencies_into(
     FloodScratch& scratch, SlotId source,
     const std::vector<double>* processing_delay_ms,
     const LinkFilter* link_ok) const {
-  flood_until(scratch, source, kInvalidSlot, processing_delay_ms, link_ok);
-  return scratch.dist;
-}
-
-double OverlayNetwork::flood_latency_to(
-    FloodScratch& scratch, SlotId source, SlotId dst,
-    const std::vector<double>* processing_delay_ms,
-    const LinkFilter* link_ok) const {
-  PROPSIM_CHECK(dst < graph_.slot_count());
-  flood_until(scratch, source, dst, processing_delay_ms, link_ok);
-  return scratch.dist[dst];
-}
-
-void OverlayNetwork::flood_until(FloodScratch& scratch, SlotId source,
-                                 SlotId stop,
-                                 const std::vector<double>* processing_delay_ms,
-                                 const LinkFilter* link_ok) const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   scratch.dist.assign(graph_.slot_count(), kInf);
   std::vector<double>& dist = scratch.dist;
@@ -109,8 +92,8 @@ void OverlayNetwork::flood_until(FloodScratch& scratch, SlotId source,
   if (processing_delay_ms != nullptr) {
     PROPSIM_CHECK(processing_delay_ms->size() == graph_.slot_count());
   }
-  // Every run leaves the queue empty (popped dry, or cleared on an early
-  // stop), so only a capacity change forces a rebuild.
+  // Every run pops the queue dry, so only a capacity change forces a
+  // rebuild.
   if (scratch.queue.capacity() != graph_.slot_count()) {
     scratch.queue = IndexedPriorityQueue<double>(graph_.slot_count());
   }
@@ -119,11 +102,6 @@ void OverlayNetwork::flood_until(FloodScratch& scratch, SlotId source,
   queue.push_or_update(source, 0.0);
   while (!queue.empty()) {
     const auto u = static_cast<SlotId>(queue.pop());
-    if (u == stop) {
-      // Settled: no later relaxation can lower it (costs are >= 0).
-      queue.clear();
-      return;
-    }
     for (const SlotId v : graph_.neighbors(u)) {
       if (link_ok != nullptr && !(*link_ok)(u, v)) continue;
       double cost = slot_latency(u, v);
@@ -137,6 +115,7 @@ void OverlayNetwork::flood_until(FloodScratch& scratch, SlotId source,
       }
     }
   }
+  return dist;
 }
 
 double path_latency(const OverlayNetwork& net, std::span<const SlotId> path,

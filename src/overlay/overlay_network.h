@@ -67,8 +67,8 @@ class OverlayNetwork {
                                                  Rng& rng) const;
 
   /// Caller-owned scratch for flood_latencies_into / hop_distances_into:
-  /// hot-loop callers (metric kernels, event-driven lookup resolution)
-  /// reuse one of these instead of reallocating the distance vector and
+  /// hot-loop callers (the paranoid cross-check of live lookups, traced
+  /// benchmark compositions) reuse one of these instead of reallocating the distance vector and
   /// priority queue on every call. A default-constructed instance works
   /// for any overlay; buffers size themselves on first use.
   struct FloodScratch {
@@ -99,16 +99,6 @@ class OverlayNetwork {
       const std::vector<double>* processing_delay_ms = nullptr,
       const LinkFilter* link_ok = nullptr) const;
 
-  /// Point-to-point form of flood_latencies_into: the shortest latency
-  /// from `source` to `dst` alone (+infinity when unreachable). The
-  /// search stops as soon as `dst` is settled, which is already its
-  /// final value, so the result equals flood_latencies_into(...)[dst].
-  /// scratch.dist holds partial results afterwards.
-  double flood_latency_to(FloodScratch& scratch, SlotId source, SlotId dst,
-                          const std::vector<double>* processing_delay_ms =
-                              nullptr,
-                          const LinkFilter* link_ok = nullptr) const;
-
   /// Hop-count BFS distances over logical edges, capped at max_hops
   /// (entries beyond the cap are UINT32_MAX).
   std::vector<std::uint32_t> hop_distances(SlotId source,
@@ -120,12 +110,6 @@ class OverlayNetwork {
       FloodScratch& scratch, SlotId source, std::uint32_t max_hops) const;
 
  private:
-  /// Dijkstra into scratch.dist, stopping once `stop` is settled
-  /// (kInvalidSlot: flood everything). Leaves scratch.queue empty.
-  void flood_until(FloodScratch& scratch, SlotId source, SlotId stop,
-                   const std::vector<double>* processing_delay_ms,
-                   const LinkFilter* link_ok) const;
-
   LogicalGraph graph_;
   Placement placement_;
   const LatencyOracle* oracle_;

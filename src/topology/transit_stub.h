@@ -51,6 +51,12 @@ struct TransitStubConfig {
                (1 + stub_domains_per_transit * nodes_per_stub);
   }
 
+  /// Stub hosts, the pool experiments place peers on.
+  std::size_t stub_node_count() const {
+    return transit_domains * transit_nodes_per_domain *
+           stub_domains_per_transit * nodes_per_stub;
+  }
+
   /// Paper preset: large backbone, sparse edge (~4.8k nodes).
   static TransitStubConfig ts_large();
   /// Paper preset: small backbone, dense edge (~4.8k nodes).

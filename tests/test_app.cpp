@@ -138,6 +138,40 @@ TEST(ExperimentSpec, RejectsNegativeProcessingDelays) {
   EXPECT_TRUE(mentions(result, "slow_delay_ms"));
 }
 
+TEST(ExperimentSpec, TraceOffWritesNoTrace) {
+  // `off` is the documented default; it must not name an output file.
+  EXPECT_TRUE(must_parse(Config::parse("trace = off\n")).trace_path.empty());
+  EXPECT_EQ(must_parse(Config::parse("trace = run.jsonl\n")).trace_path,
+            "run.jsonl");
+  // trace_buffer without a trace stays an error, `off` included.
+  EXPECT_TRUE(mentions(ExperimentSpec::from_config(Config::parse(
+                           "trace = off\ntrace_buffer = 64\n")),
+                       "trace_buffer"));
+}
+
+TEST(ExperimentSpec, NodesBeyondTheTopologyCapacityAreASpecIssue) {
+  // Both transit-stub presets have 4800 stub hosts, and a run places
+  // nodes plus a quarter spare on them: 3840 fits, 3841 does not.
+  for (const std::string topology : {"ts-large", "ts-small"}) {
+    const std::string prefix = "topology = " + topology + "\n";
+    const auto too_many =
+        ExperimentSpec::from_config(Config::parse(prefix + "nodes = 10000\n"));
+    ASSERT_FALSE(too_many.ok()) << topology;
+    EXPECT_EQ(too_many.errors[0].key, "nodes");
+    EXPECT_TRUE(mentions(too_many, topology));
+    EXPECT_TRUE(mentions(too_many, "4800"));
+    EXPECT_FALSE(ExperimentSpec::from_config(
+                     Config::parse(prefix + "nodes = 3841\n"))
+                     .ok());
+    EXPECT_EQ(must_parse(Config::parse(prefix + "nodes = 3840\n")).nodes,
+              3840u);
+  }
+  // Waxman sizes its graph from `nodes`, so it has no such cap.
+  EXPECT_EQ(
+      must_parse(Config::parse("topology = waxman\nnodes = 10000\n")).nodes,
+      10000u);
+}
+
 TEST(ExperimentSpec, UnknownKeyGetsSuggestion) {
   const auto result =
       ExperimentSpec::from_config(Config::parse("nodess = 64\n"));

@@ -345,6 +345,47 @@ void expect_kernels_match_heap(const OverlaySnapshot& snap, Rng& rng,
   }
 }
 
+/// flood_snapshot_to for every (active source, destination) pair, with
+/// and without processing delays, against the live overlay's full flood
+/// under the same link filter, bit for bit. One scratch serves every
+/// call, and each early stop must leave it drained: the buckets and the
+/// overflow list empty, so the full snapshot flood that follows on the
+/// same scratch still matches. `source_stride` > 1 checks every
+/// destination from every stride-th source only.
+void expect_point_to_point_matches_live(
+    const ToyWorld& world, const OverlayNetwork::LinkFilter* filter,
+    Rng& rng, double max_proc_ms = 12.0, SlotId source_stride = 1) {
+  const OverlaySnapshot snap = OverlaySnapshot::capture(world.net, filter);
+  const std::size_t n = snap.slot_count();
+  std::vector<double> proc(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    proc[s] = s % 4 == 0 ? 0.0 : rng.uniform_double(0.0, max_proc_ms);
+  }
+  MeasureScratch scratch;
+  std::vector<double> got(n);
+  for (SlotId src = 0; src < n; src += source_stride) {
+    if (!snap.is_active(src)) continue;
+    for (const bool with_proc : {false, true}) {
+      const std::vector<double>* p = with_proc ? &proc : nullptr;
+      const auto want = world.net.flood_latencies(src, p, filter);
+      for (SlotId dst = 0; dst < n; ++dst) {
+        got[dst] = flood_snapshot_to(snap, src, dst, p, scratch);
+        EXPECT_TRUE(std::all_of(scratch.buckets.begin(),
+                                scratch.buckets.end(),
+                                [](const auto& b) { return b.empty(); }) &&
+                    scratch.overflow.empty())
+            << "src " << src << " dst " << dst << " left entries queued";
+      }
+      EXPECT_EQ(first_bit_difference(got, want), -1)
+          << "point to point, src " << src << " proc " << with_proc;
+      flood_snapshot(snap, src, p, scratch);
+      for (SlotId v = 0; v < n; ++v) got[v] = scratch.distance(v);
+      EXPECT_EQ(first_bit_difference(got, want), -1)
+          << "full flood after early stops, src " << src;
+    }
+  }
+}
+
 double max_finite_distance(const OverlaySnapshot& snap) {
   double worst = 0.0;
   MeasureScratch scratch;
@@ -369,6 +410,7 @@ TEST(DialKernelDifferential, OffGridDoublesAndUnreachableSlots) {
     ASSERT_TRUE(snap.fixed_point_ok());
     Rng rng(seed);
     expect_kernels_match_heap(snap, rng);
+    expect_point_to_point_matches_live(*world, nullptr, rng);
   }
 }
 
@@ -387,6 +429,7 @@ TEST(DialKernelDifferential, ZeroCostEdgesTakeTheFixpointDrain) {
     ASSERT_EQ(snap.min_edge_fx(), 0u);
     Rng rng(seed);
     expect_kernels_match_heap(snap, rng);
+    expect_point_to_point_matches_live(*world, nullptr, rng);
   }
 }
 
@@ -401,6 +444,7 @@ TEST(DialKernelDifferential, EdgesBelowTheWidthClampTakeTheFixpointDrain) {
     ASSERT_LT(snap.min_edge_ms(), 0.0625);
     Rng rng(seed);
     expect_kernels_match_heap(snap, rng);
+    expect_point_to_point_matches_live(*world, nullptr, rng);
   }
 }
 
@@ -420,6 +464,7 @@ TEST(DialKernelDifferential, InfiniteLatenciesAcrossPhysicalComponents) {
     ASSERT_TRUE(infinite_edge);
     Rng rng(seed);
     expect_kernels_match_heap(snap, rng);
+    expect_point_to_point_matches_live(*world, nullptr, rng);
   }
 }
 
@@ -433,6 +478,7 @@ TEST(DialKernelDifferential, LinkFilteredCaptures) {
     const auto snap = OverlaySnapshot::capture(world->net, &drop);
     Rng rng(seed);
     expect_kernels_match_heap(snap, rng);
+    expect_point_to_point_matches_live(*world, &drop, rng);
   }
 }
 
@@ -454,6 +500,11 @@ TEST(DialKernelDifferential, DistancesPastTheBucketWindowOverflow) {
     ASSERT_TRUE(snap.fixed_point_ok());
     Rng rng(seed);
     expect_kernels_match_heap(snap, rng, /*max_proc_ms=*/3000.0);
+    // Each flood here sweeps several 2^16-bucket windows, so the pair
+    // check samples sources to stay fast; every destination is checked.
+    expect_point_to_point_matches_live(*world, nullptr, rng,
+                                       /*max_proc_ms=*/3000.0,
+                                       /*source_stride=*/7);
   }
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const auto world = make_world(wide, 8700 + seed);
@@ -463,6 +514,40 @@ TEST(DialKernelDifferential, DistancesPastTheBucketWindowOverflow) {
     ASSERT_GT(max_finite_distance(snap), 2 * 4096.0);
     Rng rng(seed);
     expect_kernels_match_heap(snap, rng);
+    expect_point_to_point_matches_live(*world, nullptr, rng, 12.0,
+                                       /*source_stride=*/7);
+  }
+}
+
+TEST(FloodSnapshotTo, PointToPointMatchesLiveFullFloodBitForBit) {
+  // The early stop returns a final value, so it must equal the live full
+  // flood's entry byte for byte — with delays, a link filter applied at
+  // capture, an inactive destination and full floods interleaved on the
+  // same scratch (an early stop must leave the buckets drained).
+  auto fx = UnstructuredFixture::make(50, 6003);
+  fx.net.graph().deactivate_slot(11);
+  std::vector<double> proc(fx.net.graph().slot_count(), 0.0);
+  for (std::size_t s = 0; s < proc.size(); s += 3) proc[s] = 0.1 * s;
+  const OverlayNetwork::LinkFilter drop = [](SlotId a, SlotId b) {
+    return (a + 2 * b) % 5 != 0;
+  };
+  MeasureScratch scratch;
+  for (const bool filtered : {false, true}) {
+    const OverlayNetwork::LinkFilter* filter = filtered ? &drop : nullptr;
+    const OverlaySnapshot snap = OverlaySnapshot::capture(fx.net, filter);
+    for (const SlotId src : {SlotId{0}, SlotId{9}, SlotId{30}}) {
+      const auto full = fx.net.flood_latencies(src, &proc, filter);
+      for (SlotId dst = 0; dst < full.size(); ++dst) {
+        const double got = flood_snapshot_to(snap, src, dst, &proc, scratch);
+        EXPECT_EQ(std::memcmp(&got, &full[dst], sizeof(double)), 0)
+            << "src " << src << " dst " << dst << " filtered " << filtered;
+      }
+      flood_snapshot(snap, src, &proc, scratch);
+      for (SlotId v = 0; v < full.size(); ++v) {
+        EXPECT_EQ(scratch.distance(v), full[v]) << "src " << src;
+      }
+    }
+    EXPECT_TRUE(std::isinf(flood_snapshot_to(snap, 0, 11, nullptr, scratch)));
   }
 }
 

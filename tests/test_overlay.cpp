@@ -1,6 +1,4 @@
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <set>
@@ -299,36 +297,6 @@ TEST(FloodScratch, ReuseMatchesAllocatingAcrossSources) {
     EXPECT_EQ(fx.net.hop_distances(src, 4),
               fx.net.hop_distances_into(scratch, src, 4));
   }
-}
-
-TEST(FloodScratch, PointToPointMatchesFullFloodBitForBit) {
-  // The early stop returns the settled value, so it must equal the full
-  // flood's entry byte for byte — with delays, a link filter, an
-  // inactive destination and full floods interleaved on the same
-  // scratch (an early stop must leave the queue empty).
-  auto fx = testing::UnstructuredFixture::make(50, 6003);
-  fx.net.graph().deactivate_slot(11);
-  std::vector<double> proc(fx.net.graph().slot_count(), 0.0);
-  for (std::size_t s = 0; s < proc.size(); s += 3) proc[s] = 0.1 * s;
-  const OverlayNetwork::LinkFilter drop = [](SlotId a, SlotId b) {
-    return (a + 2 * b) % 5 != 0;
-  };
-  OverlayNetwork::FloodScratch scratch;
-  for (const SlotId src : {SlotId{0}, SlotId{9}, SlotId{30}}) {
-    for (const bool filtered : {false, true}) {
-      const OverlayNetwork::LinkFilter* filter = filtered ? &drop : nullptr;
-      const auto full = fx.net.flood_latencies(src, &proc, filter);
-      for (SlotId dst = 0; dst < full.size(); ++dst) {
-        const double got =
-            fx.net.flood_latency_to(scratch, src, dst, &proc, filter);
-        EXPECT_EQ(std::memcmp(&got, &full[dst], sizeof(double)), 0)
-            << "src " << src << " dst " << dst << " filtered " << filtered;
-      }
-      EXPECT_EQ(fx.net.flood_latencies_into(scratch, src, &proc, filter),
-                full);
-    }
-  }
-  EXPECT_TRUE(std::isinf(fx.net.flood_latency_to(scratch, 0, 11)));
 }
 
 TEST_F(OverlayNetworkTest, HopDistancesBfs) {
