@@ -114,6 +114,7 @@ void BM_PropOPlan(benchmark::State& state) {
   OverlayNetwork net = build_unstructured(world, 256, rng);
   Rng prng(10);
   const auto slots = net.graph().active_slots();
+  PlanScratch scratch;
   for (auto _ : state) {
     const SlotId u =
         slots[static_cast<std::size_t>(prng.uniform(slots.size()))];
@@ -123,7 +124,8 @@ void BM_PropOPlan(benchmark::State& state) {
     const auto walk = net.random_walk(u, first, 2, prng);
     if (!walk) continue;
     benchmark::DoNotOptimize(plan_prop_o(net, u, walk->back(), *walk, 4,
-                                         SelectionPolicy::kGreedy, prng));
+                                         SelectionPolicy::kGreedy, prng,
+                                         scratch));
   }
 }
 BENCHMARK(BM_PropOPlan);

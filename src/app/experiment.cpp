@@ -764,8 +764,8 @@ ExperimentResult::counters() const {
       {"sim_events_scheduled", sim_events_scheduled},
       {"sim_events_cancelled", sim_events_cancelled},
       // v5: measurement-engine counters — flood counts are invariant
-      // across measure_threads and sim_shards; the capture/reuse split
-      // depends on the trace build mode (OFF builds never reuse).
+      // across measure_threads and sim_shards, and so is the
+      // capture/reuse split.
       {"measure_exact_floods", measure_exact_floods},
       {"measure_fast_floods", measure_fast_floods},
       {"measure_snapshot_captures", measure_snapshot_captures},
@@ -1084,14 +1084,12 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
                             : MeasureMode::kExact);
 
   // Snapshot reuse across sample ticks: the cache recaptures only when
-  // the topology version moved. The version is the sum of the bus's
-  // topology-affecting event counts — every mutation of the overlay
-  // graph, placement or partition state emits at least one of these, and
-  // counts only grow, so an unchanged sum proves an unchanged overlay.
-  // In a PROPSIM_TRACE=OFF build the counters cannot witness anything;
-  // the fallback version bumps every call so the cache conservatively
-  // recaptures (values are identical either way — reuse is pure
-  // caching — matching the trace-off bit-identity contract).
+  // the topology version moved. The version is the sum of the mutation
+  // counters of everything a capture reads — the logical graph's edges
+  // and activations, the slot->host binding and the partition windows
+  // opened or healed — which every build keeps. Counts only grow, so an
+  // unchanged sum proves an unchanged overlay (values are identical
+  // either way: reuse is pure caching).
   auto capture_overlay = [&net, &flood_filter] {
     return OverlaySnapshot::capture(*net,
                                     flood_filter ? &flood_filter : nullptr);
@@ -1100,14 +1098,10 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   // The event-driven lookups keep a cache of their own (see resolve), so
   // the sweep cache's captures + reuses still count sample ticks.
   SnapshotCache live_cache(capture_overlay);
-  std::uint64_t untracked_version = 0;
   auto topology_version = [&]() -> std::uint64_t {
-    if (!obs::trace_compiled_in()) return ++untracked_version;
-    using K = obs::TraceEventKind;
-    return bus.count(K::kExchangeCommit) + bus.count(K::kJoin) +
-           bus.count(K::kLeave) + bus.count(K::kFail) +
-           bus.count(K::kLtmRound) + bus.count(K::kFaultCrash) +
-           bus.count(K::kPartitionStart) + bus.count(K::kPartitionEnd);
+    return net->graph().mutation_count() +
+           net->placement().mutation_count() +
+           (faults ? faults->stats().partition_edges : 0);
   };
 
   // Per-tick shared state + metric closure, in the sampler's batched
@@ -1226,10 +1220,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
     // Dial flood over precomputed edge latencies — bit-identical to a
     // flood of the live overlay (measure_engine.h). Processing delays
     // depend only on the slot->host binding and are cached under the same
-    // version. The version is read once per lookup: a PROPSIM_TRACE=OFF
-    // build bumps it on every call and so recaptures per lookup, which is
-    // correct but slower (docs/PERF.md). Paranoid builds re-answer every
-    // lookup on the live overlay and require the same double.
+    // version. Paranoid builds re-answer every lookup on the live
+    // overlay and require the same double.
     auto resolve = [&, spec](const QueryPair& q) -> double {
       const std::uint64_t version = topology_version();
       const std::vector<double>* proc_ptr = nullptr;

@@ -270,10 +270,8 @@ struct ExperimentResult {
   /// v5: added the measurement counters (measure_exact_floods,
   /// measure_fast_floods, measure_snapshot_captures,
   /// measure_snapshot_reuses) — flood counts are invariant across
-  /// measure_threads and sim_shards; the snapshot split between
-  /// captures and reuses depends on the trace build mode (OFF builds
-  /// never reuse), like trace_events already does. v1-v4 names are
-  /// unchanged.
+  /// measure_threads and sim_shards, and so is the snapshot split
+  /// between captures and reuses. v1-v4 names are unchanged.
   /// v6: added the threat-model counters (adversary_lies,
   /// adversary_drops, adversary_freeride_skips,
   /// adversary_eclipse_attempts, adversary_eclipse_captures,
@@ -349,10 +347,9 @@ struct ExperimentResult {
   /// query source per sample tick (zero for stretch metrics, which
   /// route instead of flooding); exactly one of the two is non-zero for
   /// an unstructured run, naming the kernel that ran. Snapshot captures
-  /// + reuses sum to the sample count on unstructured runs; reuses stay
-  /// zero in a PROPSIM_TRACE=OFF build (the bus cannot prove the
-  /// overlay unchanged) and in the exact sense never affect values —
-  /// a reused snapshot is byte-identical to the capture it skipped.
+  /// + reuses sum to the sample count on unstructured runs; reuses
+  /// never affect values — a reused snapshot is byte-identical to the
+  /// capture it skipped.
   std::uint64_t measure_exact_floods = 0;
   std::uint64_t measure_fast_floods = 0;
   std::uint64_t measure_snapshot_captures = 0;
@@ -360,8 +357,7 @@ struct ExperimentResult {
   /// Snapshot cache of the event-driven Gnutella lookups (zero
   /// otherwise): captures + reuses == lookups_issued. Kept apart from
   /// the sweep cache above and deliberately not serialized or listed in
-  /// counters(): they report execution, not results, and a
-  /// PROPSIM_TRACE=OFF build recaptures on every lookup.
+  /// counters(): they report execution, not results.
   std::uint64_t live_snapshot_captures = 0;
   std::uint64_t live_snapshot_reuses = 0;
   bool connected = false;

@@ -184,7 +184,7 @@ bool PropEngine::attempt(SlotId u) {
     plan = plan_prop_g(net_, u, v);
   } else {
     plan = plan_prop_o(net_, u, v, path, effective_m_, params_.selection,
-                       rng_);
+                       rng_, plan_scratch_);
   }
   if (!plan.has_value()) {
     if (bus != nullptr) {
@@ -316,7 +316,7 @@ bool PropEngine::validate_and_apply(SlotId u, SlotId first_hop, SlotId v,
     plan = plan_prop_g(net_, u, v);
   } else {
     plan = plan_prop_o(net_, u, v, path, effective_m_, params_.selection,
-                       rng_);
+                       rng_, plan_scratch_);
   }
   if (!plan.has_value() || gate_var(*plan) <= params_.min_var) return false;
   apply_exchange(net_, *plan);

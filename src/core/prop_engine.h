@@ -188,6 +188,7 @@ class PropEngine {
   Scheduler& sim_;
   PropParams params_;
   Rng rng_;
+  PlanScratch plan_scratch_;  // PROP-O planning buffers, reused per plan
   std::vector<NodeState> state_;
   SwapLog* swap_log_ = nullptr;
   FaultInjector* faults_ = nullptr;

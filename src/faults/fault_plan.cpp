@@ -30,11 +30,13 @@ FaultInjector::FaultInjector(Scheduler& sim, const FaultParams& params,
 void FaultInjector::start() {
   for (const PartitionWindow& w : params_.partitions) {
     sim_.schedule_at(w.start_s, [this, domain = w.stub_domain] {
+      ++stats_.partition_edges;
       if (trace_ != nullptr) {
         trace_->emit(obs::TraceEventKind::kPartitionStart, domain);
       }
     });
     sim_.schedule_at(w.end_s, [this, domain = w.stub_domain] {
+      ++stats_.partition_edges;
       if (trace_ != nullptr) {
         trace_->emit(obs::TraceEventKind::kPartitionEnd, domain);
       }

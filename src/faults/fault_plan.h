@@ -100,6 +100,7 @@ class FaultInjector {
     std::uint64_t messages = 0;         // deliver() decisions taken
     std::uint64_t losses = 0;           // random Bernoulli drops
     std::uint64_t partition_drops = 0;  // drops across a cut gateway
+    std::uint64_t partition_edges = 0;  // windows opened or healed so far
     std::uint64_t crashes_scheduled = 0;
     std::uint64_t crashes_executed = 0;
     std::uint64_t storm_failures = 0;  // crashes executed by storms

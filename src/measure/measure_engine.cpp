@@ -39,9 +39,7 @@ void dial_flood(const OverlaySnapshot& snap, SlotId source,
   PROPSIM_CHECK(snap.is_active(source));
   if (proc != nullptr) PROPSIM_CHECK(proc->size() == snap.slot_count());
   scratch.begin(snap.slot_count(), unit_ms);
-  const std::uint32_t epoch = scratch.epoch;
   auto& dist = scratch.dist;
-  auto& stamp = scratch.stamp;
   auto& buckets = scratch.buckets;  // all empty: previous run drained them
   auto& overflow = scratch.overflow;
 
@@ -71,7 +69,6 @@ void dial_flood(const OverlaySnapshot& snap, SlotId source,
   };
 
   dist[source] = 0.0;
-  stamp[source] = epoch;
   push(source, 0.0);
   for (std::size_t b = 0;; ++b) {
     if (b > top) {
@@ -119,15 +116,14 @@ void dial_flood(const OverlaySnapshot& snap, SlotId source,
         if (proc != nullptr) cost += static_cast<double>((*proc)[v]);
         const double candidate = du + cost;
         if (!(candidate < kInf)) continue;  // unreachable stays +inf
-        if (stamp[v] != epoch || candidate < dist[v]) {
+        if (candidate < dist[v]) {
           dist[v] = candidate;
-          stamp[v] = epoch;
           push(v, candidate);
         }
       }
     }
     buckets[b].clear();
-    if (stop != kInvalidSlot && stamp[stop] == epoch &&
+    if (stop != kInvalidSlot && dist[stop] < kInf &&
         index_of(dist[stop]) <= base + b) {
       // Every bucket up to b has drained and no relaxation lands below
       // the open bucket, so dist[stop] is final.
@@ -148,22 +144,14 @@ const char* to_string(MeasureMode mode) {
 }
 
 void MeasureScratch::begin(std::size_t n, double unit) {
-  if (stamp.size() != n) {
-    dist.assign(n, 0.0);
-    stamp.assign(n, 0);
-    epoch = 0;
-    // Bucket capacity is shaped by path lengths, not slot count; keep it.
-  }
-  if (++epoch == 0) {  // wrapped: every stale stamp would look current
-    std::fill(stamp.begin(), stamp.end(), 0u);
-    epoch = 1;
-  }
+  // Bucket capacity is shaped by path lengths, not slot count; keep it.
+  dist.assign(n, kInf);
   unit_ms = unit;
 }
 
 double MeasureScratch::distance(SlotId v) const {
-  PROPSIM_DCHECK(v < stamp.size());
-  return stamp[v] == epoch ? dist[v] * unit_ms : kInf;
+  PROPSIM_DCHECK(v < dist.size());
+  return dist[v] * unit_ms;
 }
 
 void flood_snapshot(const OverlaySnapshot& snap, SlotId source,

@@ -10,10 +10,12 @@
 //     kernel argument below), and
 //   - averages are reduced serially in query-index order after the
 //     parallel map completes.
-// Worker scratch (distance array, buckets, epoch-stamped validity
-// marks) is allocated once per worker and reused across sources and
-// across snapshots; the epoch stamp makes clearing O(touched), and every
-// flood drains its buckets empty.
+// Worker scratch (distance array, buckets) is allocated once per worker
+// and reused across sources and across snapshots. Each flood refills the
+// distance array with +infinity, O(V): a sweep flood touches every
+// reachable slot anyway, so per-slot validity stamps would only add a
+// load and a branch to every relaxation. Every flood drains its buckets
+// empty.
 //
 // One flood kernel, a Dial bucket queue templated on the edge weight,
 // serves both measure modes:
@@ -97,11 +99,10 @@ enum class MeasureMode { kExact, kFast };
 
 const char* to_string(MeasureMode mode);
 
-/// Reusable per-worker flood state, shared by both kernels. dist[v] is
-/// valid only where stamp[v] == epoch; everything else is implicitly
-/// +infinity, so a new source costs one epoch bump instead of an O(V)
-/// refill. The bucket vectors are drained empty by every flood, so
-/// their capacity is what persists across sweeps.
+/// Reusable per-worker flood state, shared by both kernels. begin()
+/// resets every distance to +infinity; the bucket vectors are drained
+/// empty by every flood, so their capacity is what persists across
+/// sweeps.
 struct MeasureScratch {
   /// A queued slot and the distance it was queued with; the entry is
   /// stale once the slot's distance has improved past it.
@@ -110,15 +111,13 @@ struct MeasureScratch {
     double dist;
   };
 
-  std::vector<double> dist;  // in units of unit_ms
-  std::vector<std::uint32_t> stamp;
-  std::uint32_t epoch = 0;
+  std::vector<double> dist;  // in units of unit_ms, +inf if unreached
   double unit_ms = 1.0;  // 1 after flood_snapshot, 2^-20 after _fast
   std::vector<std::vector<Entry>> buckets;
   std::vector<Entry> overflow;  // entries past the bucket window
 
-  /// Resizes for a snapshot of `n` slots (no-op when already sized),
-  /// opens a fresh epoch and records the distance unit.
+  /// Sizes for a snapshot of `n` slots, sets every distance to
+  /// +infinity and records the distance unit.
   void begin(std::size_t n, double unit);
 
   /// Distance from the last flood's source to v in ms (+inf if

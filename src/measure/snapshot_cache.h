@@ -4,21 +4,16 @@
 // change between two ticks the capture would produce a byte-identical
 // snapshot, so the sweep can reuse the previous one. "Did not change"
 // is decided by the caller-supplied version number — the experiment
-// derives it from the trace bus's topology-affecting event counts
-// (exchange commits, churn joins/leaves/fails, LTM rounds, crashes,
-// partition edges), which only ever grow, so an unchanged version
-// proves no such event ran since the last capture. Reuse is therefore
-// pure caching: it can never change a result, only skip redundant work.
+// derives it from the mutation counters of everything a capture reads
+// (LogicalGraph edge and activation changes, Placement binds, unbinds
+// and swaps, partition windows opened or healed), which every build
+// keeps and which only ever grow, so an unchanged version proves the
+// overlay unchanged since the last capture. Reuse is therefore pure
+// caching: it can never change a result, only skip redundant work.
 //
 // The experiment keeps two caches on that version: one for the metric
 // sweeps at sample ticks and one for the event-driven Gnutella lookups,
-// which reuse a snapshot for every lookup between two topology events.
-//
-// In a PROPSIM_TRACE=OFF build the bus counters stay zero and cannot
-// witness changes; the experiment feeds a version that bumps on every
-// read instead, so both caches conservatively recapture (results stay
-// bit-identical across build modes; only the reuse counters differ,
-// like the trace counters already do).
+// which reuse a snapshot for every lookup between two topology changes.
 #pragma once
 
 #include <cstdint>

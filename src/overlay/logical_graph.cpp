@@ -8,6 +8,7 @@ SlotId LogicalGraph::add_slot() {
   adjacency_.emplace_back();
   active_.push_back(true);
   ++active_count_;
+  ++mutations_;
   return static_cast<SlotId>(adjacency_.size() - 1);
 }
 
@@ -20,6 +21,7 @@ void LogicalGraph::deactivate_slot(SlotId s) {
   }
   active_[s] = false;
   --active_count_;
+  ++mutations_;
 }
 
 void LogicalGraph::reactivate_slot(SlotId s) {
@@ -28,6 +30,7 @@ void LogicalGraph::reactivate_slot(SlotId s) {
   PROPSIM_CHECK(adjacency_[s].empty());
   active_[s] = true;
   ++active_count_;
+  ++mutations_;
 }
 
 void LogicalGraph::add_edge(SlotId a, SlotId b) {
@@ -38,6 +41,7 @@ void LogicalGraph::add_edge(SlotId a, SlotId b) {
   adjacency_[a].push_back(b);
   adjacency_[b].push_back(a);
   ++edge_count_;
+  ++mutations_;
 }
 
 void LogicalGraph::erase_directed(SlotId from, SlotId to) {
@@ -54,6 +58,7 @@ void LogicalGraph::remove_edge(SlotId a, SlotId b) {
   erase_directed(b, a);
   PROPSIM_CHECK(edge_count_ > 0);
   --edge_count_;
+  ++mutations_;
 }
 
 bool LogicalGraph::has_edge(SlotId a, SlotId b) const {

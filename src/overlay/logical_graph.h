@@ -28,6 +28,11 @@ class LogicalGraph {
   std::size_t active_count() const { return active_count_; }
   std::size_t edge_count() const { return edge_count_; }
 
+  /// Edge and activation changes since construction (slot additions
+  /// included). Only grows, so an unchanged count proves an unchanged
+  /// graph; snapshot caches key on it.
+  std::uint64_t mutation_count() const { return mutations_; }
+
   bool is_active(SlotId s) const {
     PROPSIM_DCHECK(s < active_.size());
     return active_[s];
@@ -77,6 +82,7 @@ class LogicalGraph {
   std::vector<bool> active_;
   std::size_t active_count_ = 0;
   std::size_t edge_count_ = 0;
+  std::uint64_t mutations_ = 0;
 };
 
 }  // namespace propsim

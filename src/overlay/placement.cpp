@@ -10,6 +10,7 @@ void Placement::bind(SlotId s, NodeId h) {
   host_of_[s] = h;
   slot_of_[h] = s;
   ++bound_count_;
+  ++mutations_;
 }
 
 void Placement::unbind(SlotId s) {
@@ -19,6 +20,7 @@ void Placement::unbind(SlotId s) {
   host_of_[s] = kInvalidNode;
   PROPSIM_CHECK(bound_count_ > 0);
   --bound_count_;
+  ++mutations_;
 }
 
 void Placement::swap_slots(SlotId a, SlotId b) {
@@ -30,6 +32,7 @@ void Placement::swap_slots(SlotId a, SlotId b) {
   host_of_[b] = ha;
   slot_of_[ha] = b;
   slot_of_[hb] = a;
+  ++mutations_;
 }
 
 std::vector<NodeId> Placement::bound_hosts() const {

@@ -59,6 +59,11 @@ class Placement {
   /// Number of currently bound slots.
   std::size_t bound_count() const { return bound_count_; }
 
+  /// Binds, unbinds and swaps since construction. Only grows, so an
+  /// unchanged count proves an unchanged binding; snapshot caches key on
+  /// it.
+  std::uint64_t mutation_count() const { return mutations_; }
+
   /// Hosts of all bound slots, ordered by slot id.
   std::vector<NodeId> bound_hosts() const;
 
@@ -69,6 +74,7 @@ class Placement {
   std::vector<NodeId> host_of_;
   std::vector<SlotId> slot_of_;
   std::size_t bound_count_ = 0;
+  std::uint64_t mutations_ = 0;
 };
 
 }  // namespace propsim

@@ -143,6 +143,22 @@ TEST(FaultInjector, PartitionDropsOnlyCrossingMessagesInsideWindow) {
   EXPECT_EQ(faults.stats().losses, 0u);
 }
 
+// Snapshot caches key on partition_edges: the filter a capture bakes in
+// changes exactly when a window opens or heals.
+TEST(FaultInjector, PartitionEdgesCountWindowOpensAndHeals) {
+  Simulator sim;
+  FaultParams params;
+  params.partitions.push_back(PartitionWindow{0, 10.0, 20.0});
+  FaultInjector faults(sim, params, 12);
+  faults.start();
+  std::vector<std::uint64_t> seen;
+  for (const double t : {5.0, 15.0, 25.0}) {
+    sim.schedule_at(t, [&] { seen.push_back(faults.stats().partition_edges); });
+  }
+  sim.run_until(30.0);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2}));
+}
+
 TEST(FaultInjector, CrashSchedulesThroughExecutor) {
   Simulator sim;
   FaultParams params;

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <set>
@@ -93,7 +94,55 @@ TEST(LogicalGraph, AddSlotGrows) {
   EXPECT_TRUE(g.has_edge(s, 0));
 }
 
+// Snapshot caches key on this count: every edit must move it, and
+// queries must not.
+TEST(LogicalGraph, MutationCountMovesOnEveryEdit) {
+  LogicalGraph g(3);
+  std::uint64_t last = g.mutation_count();
+  auto moved = [&] {
+    const bool grew = g.mutation_count() > last;
+    last = g.mutation_count();
+    return grew;
+  };
+  g.add_edge(0, 1);
+  EXPECT_TRUE(moved());
+  g.add_edge(1, 2);
+  EXPECT_TRUE(moved());
+  EXPECT_TRUE(g.has_edge(0, 1));
+  EXPECT_TRUE(g.active_subgraph_connected());
+  EXPECT_FALSE(moved());
+  g.remove_edge(0, 1);
+  EXPECT_TRUE(moved());
+  g.deactivate_slot(2);
+  EXPECT_TRUE(moved());
+  g.reactivate_slot(2);
+  EXPECT_TRUE(moved());
+  g.add_slot();
+  EXPECT_TRUE(moved());
+}
+
 // ---------------------------------------------------------- Placement ----
+
+TEST(Placement, MutationCountMovesOnEveryEdit) {
+  Placement p(3, 10);
+  std::uint64_t last = p.mutation_count();
+  auto moved = [&] {
+    const bool grew = p.mutation_count() > last;
+    last = p.mutation_count();
+    return grew;
+  };
+  p.bind(0, 5);
+  EXPECT_TRUE(moved());
+  p.bind(1, 6);
+  EXPECT_TRUE(moved());
+  p.swap_slots(0, 1);
+  EXPECT_TRUE(moved());
+  p.ensure_slot_capacity(5);
+  EXPECT_TRUE(p.validate());
+  EXPECT_FALSE(moved());
+  p.unbind(0);
+  EXPECT_TRUE(moved());
+}
 
 TEST(Placement, BindUnbindRoundTrip) {
   Placement p(3, 10);
