@@ -57,10 +57,7 @@ void PropEngine::init_node(SlotId s) {
 void PropEngine::schedule_probe(SlotId s, double delay) {
   NodeState& st = state_[s];
   PROPSIM_CHECK(st.pending == kInvalidEvent);
-  // Global despite the shard hint: probe timers draw from the shared
-  // engine Rng and negotiate with counterpart slots on other shards.
-  st.pending = sim_.schedule_in(delay, sim_.shard_of(s), Locality::kGlobal,
-                                [this, s] { on_probe_timer(s); });
+  st.pending = sim_.schedule_in(delay, [this, s] { on_probe_timer(s); });
 }
 
 void PropEngine::reschedule_sooner(SlotId s, double delay) {
@@ -404,8 +401,7 @@ void PropEngine::begin_negotiation(SlotId u, SlotId first_hop, SlotId v,
     // Plain delayed-commit mode: single scheduled commit, no locks —
     // the pre-fault protocol, byte-for-byte.
     st.pending = sim_.schedule_in(
-        base_delay, sim_.shard_of(u), Locality::kGlobal,
-        [this, u, first_hop, v, path = std::move(path)]() mutable {
+        base_delay, [this, u, first_hop, v, path = std::move(path)]() mutable {
           state_[u].pending = kInvalidEvent;
           commit_after_delay(u, first_hop, v, std::move(path));
         });
@@ -435,9 +431,8 @@ void PropEngine::begin_negotiation(SlotId u, SlotId first_hop, SlotId v,
       ++stats_.retries;
       const double rto = faults_->params().rto_factor * base_delay;
       st.pending = sim_.schedule_in(
-          rto, sim_.shard_of(u), Locality::kGlobal,
-          [this, u, first_hop, v, path = std::move(path),
-           retries_used]() mutable {
+          rto, [this, u, first_hop, v, path = std::move(path),
+                retries_used]() mutable {
             state_[u].pending = kInvalidEvent;
             begin_negotiation(u, first_hop, v, std::move(path),
                               retries_used + 1);
@@ -457,11 +452,8 @@ void PropEngine::begin_negotiation(SlotId u, SlotId first_hop, SlotId v,
   const double delay =
       faults_ != nullptr ? faults_->jitter(base_delay) : base_delay;
   if (faults_ != nullptr) faults_->maybe_schedule_crash(u, v, delay);
-  // Global despite the shard hint: commits mutate both endpoints' slots
-  // and the counterpart may live on a different shard.
   st.pending = sim_.schedule_in(
-      delay, sim_.shard_of(u), Locality::kGlobal,
-      [this, u, first_hop, v, path = std::move(path)]() mutable {
+      delay, [this, u, first_hop, v, path = std::move(path)]() mutable {
         state_[u].pending = kInvalidEvent;
         finish_two_phase(u, first_hop, v, std::move(path));
       });

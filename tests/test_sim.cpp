@@ -1,15 +1,17 @@
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "sim/traffic.h"
 
 namespace propsim {
 namespace {
 
-TEST(Simulator, RunsEventsInTimeOrder) {
-  Simulator sim;
+TEST(Scheduler, RunsEventsInTimeOrder) {
+  Scheduler sim;
   std::vector<int> order;
   sim.schedule_at(5.0, [&] { order.push_back(2); });
   sim.schedule_at(1.0, [&] { order.push_back(1); });
@@ -20,8 +22,8 @@ TEST(Simulator, RunsEventsInTimeOrder) {
   EXPECT_EQ(sim.executed_events(), 3u);
 }
 
-TEST(Simulator, EqualTimesFireInScheduleOrder) {
-  Simulator sim;
+TEST(Scheduler, EqualTimesFireInScheduleOrder) {
+  Scheduler sim;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     sim.schedule_at(1.0, [&order, i] { order.push_back(i); });
@@ -30,8 +32,8 @@ TEST(Simulator, EqualTimesFireInScheduleOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(Simulator, ScheduleInIsRelative) {
-  Simulator sim;
+TEST(Scheduler, ScheduleInIsRelative) {
+  Scheduler sim;
   double fired_at = -1.0;
   sim.schedule_at(2.0, [&] {
     sim.schedule_in(3.0, [&] { fired_at = sim.now(); });
@@ -40,30 +42,36 @@ TEST(Simulator, ScheduleInIsRelative) {
   EXPECT_DOUBLE_EQ(fired_at, 5.0);
 }
 
-TEST(Simulator, CancelPreventsExecution) {
-  Simulator sim;
+TEST(Scheduler, CancelPreventsExecution) {
+  Scheduler sim;
   bool ran = false;
   const EventId id = sim.schedule_at(1.0, [&] { ran = true; });
   EXPECT_TRUE(sim.cancel(id));
   EXPECT_FALSE(sim.cancel(id));  // double-cancel reports failure
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.cancelled_events(), 1u);  // counted once
   sim.run_all();
   EXPECT_FALSE(ran);
+  EXPECT_EQ(sim.executed_events(), 0u);
 }
 
-TEST(Simulator, CancelAfterExecutionReturnsFalse) {
-  Simulator sim;
+TEST(Scheduler, CancelAfterExecutionReturnsFalse) {
+  Scheduler sim;
   const EventId id = sim.schedule_at(1.0, [] {});
   sim.run_all();
   EXPECT_FALSE(sim.cancel(id));
 }
 
-TEST(Simulator, RunUntilStopsAtBoundary) {
-  Simulator sim;
+TEST(Scheduler, RunUntilStopsAtBoundary) {
+  Scheduler sim;
   int count = 0;
   sim.schedule_at(1.0, [&] { ++count; });
   sim.schedule_at(2.0, [&] { ++count; });
   sim.schedule_at(3.0, [&] { ++count; });
-  sim.run_until(2.0);
+  sim.run_until(0.5);  // nothing due yet: the clock still moves to t_end
+  EXPECT_EQ(count, 0);
+  EXPECT_DOUBLE_EQ(sim.now(), 0.5);
+  sim.run_until(2.0);  // the event at the boundary fires
   EXPECT_EQ(count, 2);
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
   EXPECT_EQ(sim.pending_events(), 1u);
@@ -72,8 +80,8 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
   EXPECT_DOUBLE_EQ(sim.now(), 10.0);
 }
 
-TEST(Simulator, EventsCanScheduleEvents) {
-  Simulator sim;
+TEST(Scheduler, EventsCanScheduleEvents) {
+  Scheduler sim;
   int depth = 0;
   std::function<void()> chain = [&] {
     if (++depth < 5) sim.schedule_in(1.0, chain);
@@ -84,8 +92,8 @@ TEST(Simulator, EventsCanScheduleEvents) {
   EXPECT_DOUBLE_EQ(sim.now(), 4.0);
 }
 
-TEST(Simulator, StepExecutesOne) {
-  Simulator sim;
+TEST(Scheduler, StepExecutesOne) {
+  Scheduler sim;
   int count = 0;
   sim.schedule_at(1.0, [&] { ++count; });
   sim.schedule_at(2.0, [&] { ++count; });
@@ -95,13 +103,35 @@ TEST(Simulator, StepExecutesOne) {
   EXPECT_FALSE(sim.step());
 }
 
-TEST(Simulator, PendingCountsExcludeCancelled) {
-  Simulator sim;
+TEST(Scheduler, PendingCountsExcludeCancelled) {
+  Scheduler sim;
   const EventId a = sim.schedule_at(1.0, [] {});
   sim.schedule_at(2.0, [] {});
   EXPECT_EQ(sim.pending_events(), 2u);
   sim.cancel(a);
   EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+TEST(Scheduler, AuditHookSeesPostEventClockEveryNEvents) {
+  Scheduler sim;
+  std::vector<std::pair<std::uint64_t, double>> audits;
+  sim.set_audit(
+      [&](const Scheduler& s) {
+        audits.emplace_back(s.executed_events(), s.now());
+      },
+      3);
+  for (int i = 0; i < 10; ++i) {
+    sim.schedule_in(static_cast<double>(i) * 0.1, [] {});
+  }
+  sim.run_until(5.0);
+  const std::vector<std::pair<std::uint64_t, double>> expected = {
+      {3, 0.2}, {6, 0.5}, {9, 0.8}};
+  ASSERT_EQ(audits.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(audits[i].first, expected[i].first);
+    EXPECT_DOUBLE_EQ(audits[i].second, expected[i].second);
+  }
+  sim.set_audit(nullptr, 0);  // uninstall must be accepted
 }
 
 TEST(TrafficCounter, CountsByNodeAndKind) {
